@@ -2,11 +2,34 @@ package mcnet
 
 import (
 	"context"
+	"encoding/json"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+
+	"mcnet/internal/golden"
 )
+
+// goldenAggregatePath holds the recorded transcript digests of the
+// aggregation pipeline, shared with internal/core's pipeline-level cases.
+var goldenAggregatePath = filepath.Join("testdata", "golden_aggregate.json")
+
+// checkAggregateGolden digests the canonical JSON encoding of an Aggregate
+// result plus its sorted event log and checks it against the recorded entry.
+func checkAggregateGolden(t *testing.T, key string, res *AggregateResult, events []Event) {
+	t.Helper()
+	h := golden.NewHash()
+	if err := json.NewEncoder(h).Encode(struct {
+		Result *AggregateResult
+		Events []Event
+	}{res, events}); err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, goldenAggregatePath, key, h.Sum(), *updateGolden)
+}
 
 // runExecIdentity builds the same network once per forced execution mode,
 // runs Aggregate on identical inputs, and requires the results and the full
@@ -68,6 +91,7 @@ func runExecIdentity(t *testing.T, name string, n int, opts ...Option) {
 		if !reflect.DeepEqual(gEvents, sEvents) {
 			t.Fatalf("event streams differ: %d goroutine vs %d stepped events", len(gEvents), len(sEvents))
 		}
+		checkAggregateGolden(t, "aggregate/"+t.Name()[strings.IndexByte(t.Name(), '/')+1:], gRes, gEvents)
 	})
 }
 

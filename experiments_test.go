@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"mcnet/internal/golden"
 )
 
 // TestRunExperiment: the facade runs a suite experiment and renders its
@@ -92,6 +94,9 @@ func TestF4ExecIdentity(t *testing.T) {
 			t.Fatalf("f4 table differs across exec modes:\n%s\n--- vs ---\n%s", out, ref)
 		}
 	}
+	h := golden.NewHash()
+	h.Write([]byte(ref))
+	golden.Check(t, goldenAggregatePath, "f4/quick", h.Sum(), *updateGolden)
 }
 
 // TestRunExperimentContextCanceled: a dead context stops the sweep with

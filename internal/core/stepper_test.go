@@ -1,7 +1,10 @@
 package core
 
 import (
+	"flag"
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -9,11 +12,18 @@ import (
 	"mcnet/internal/agg"
 	"mcnet/internal/fault"
 	"mcnet/internal/geo"
+	"mcnet/internal/golden"
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
 	"mcnet/internal/sim"
 	"mcnet/internal/topology"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "record the pipeline transcript digests from current output")
+
+// goldenAggregatePath is the module-root digest file shared with the
+// facade's Aggregate cases.
+var goldenAggregatePath = filepath.Join("..", "..", "testdata", "golden_aggregate.json")
 
 // txRec is one transcript entry: who transmitted and who decoded what.
 type txRec struct {
@@ -106,7 +116,30 @@ func runIdentityCase(t *testing.T, name string, pos []geo.Point, p model.Params,
 					g.trace[i].Slot, g.trace[i], s.trace[i])
 			}
 		}
+		checkPipelineGolden(t, "pipeline/"+name, g.res, g.events, g.trace)
 	})
+}
+
+// checkPipelineGolden digests a canonical text encoding of a pipeline run —
+// per-node results, sorted events, and the per-slot transmit/listen/decode
+// trace with each message's dynamic type — against the recorded entry.
+func checkPipelineGolden(t *testing.T, key string, res []Result, events []sim.Event, trace []txRec) {
+	t.Helper()
+	h := golden.NewHash()
+	for i, r := range res {
+		fmt.Fprintf(h, "res %d %+v\n", i, r)
+	}
+	for _, ev := range events {
+		fmt.Fprintf(h, "ev %+v\n", ev)
+	}
+	for _, rec := range trace {
+		fmt.Fprintf(h, "slot %d\n", rec.Slot)
+		for _, tx := range rec.Txs {
+			fmt.Fprintf(h, "tx %d %d %T%+v\n", tx.Node, tx.Channel, tx.Msg, tx.Msg)
+		}
+		fmt.Fprintf(h, "rx %v %v\n", rec.Listens, rec.Decoded)
+	}
+	golden.Check(t, goldenAggregatePath, key, h.Sum(), *updateGolden)
 }
 
 // clusterPositions places n-1 nodes uniformly within a half-r_c box around
