@@ -129,20 +129,16 @@
 // fan out over a persistent worker pool, so no per-slot allocations or
 // goroutine spawns occur.
 //
-// The engine itself has two execution modes, selected by the Exec option
-// and bit-identical by construction. The goroutine mode — the reference
-// form — runs one goroutine per node with a sharded slot barrier. The
-// stepped mode runs the same pipeline goroutine-free: node programs are
-// compiled to resumable steppers the engine drives inline each slot, with
-// long idle stretches parked on a calendar wake-wheel instead of a
-// blocked goroutine, so a million-node crowd needs four goroutines
-// instead of a million stacks. ExecAuto (the default) picks the stepped
-// engine at crowd scale (n ≥ 16384) and the goroutine reference path
-// below it; either can be forced with Exec(ExecStepped) or
-// Exec(ExecGoroutines), and ScenarioSpec's "exec" field plus both CLIs'
-// -exec flag pin the mode on the wire. Identity across modes is pinned by
-// golden-transcript tests and a facade-level equivalence test under
-// -race -cpu 1,2,8 in CI.
+// Aggregate, every sweep and every served job run the pipeline on the
+// engine's stepped form at every n: node state lives in resumable steppers
+// the engine drives inline each slot, with long idle stretches parked on a
+// calendar wake-wheel instead of a blocked goroutine, so a million-node
+// crowd needs four goroutines instead of a million stacks. The cold
+// protocols — the coloring backends, the baselines, broadcast and the
+// E-series probes — still run as one goroutine per node behind a sharded
+// slot barrier. The stepped pipeline reproduces the transcripts recorded
+// from the retired goroutine-per-node pipeline byte for byte, pinned by
+// digest goldens under -race -cpu 1,2,8 in CI.
 //
 // Two further mechanisms push the hot path at crowd scale. The slot
 // barrier shards at ≥1024 nodes: instead of every node's arrival bouncing

@@ -254,7 +254,7 @@ func TestTreeSlotBudget(t *testing.T) {
 	after := make([]int, 2)
 	progs := []sim.Program{
 		func(ctx *sim.Ctx) { RunTree(ctx, cfg, 0, 1, agg.Sum); after[0] = ctx.Slot() },
-		func(ctx *sim.Ctx) { IdleTree(ctx, cfg); after[1] = ctx.Slot() },
+		func(ctx *sim.Ctx) { ctx.IdleFor(cfg.SlotBudget()); after[1] = ctx.Slot() },
 	}
 	if _, err := e.Run(progs); err != nil {
 		t.Fatal(err)

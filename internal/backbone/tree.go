@@ -110,7 +110,7 @@ func DefaultTreeConfig(p model.Params, phiMax, hopBound int) TreeConfig {
 	}
 }
 
-// SlotBudget returns the exact number of slots RunTree and IdleTree consume.
+// SlotBudget returns the exact number of slots RunTree consumes.
 func (c TreeConfig) SlotBudget() int {
 	return c.PhiMax * (c.BuildBlocks + c.ChildBlocks + c.CastBlocks + c.ResultBlocks)
 }
@@ -129,11 +129,6 @@ type TreeOutcome struct {
 	Result int64
 	// Done reports whether the node learned the final aggregate.
 	Done bool
-}
-
-// IdleTree consumes the stage budget for non-dominators.
-func IdleTree(ctx *sim.Ctx, cfg TreeConfig) {
-	ctx.IdleFor(cfg.SlotBudget())
 }
 
 // RunTree executes the dominator side of the inter-cluster stage: it elects

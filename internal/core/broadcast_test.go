@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mcnet/internal/agg"
+	"mcnet/internal/fault"
 	"mcnet/internal/geo"
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
@@ -88,6 +89,16 @@ func TestBroadcastFromDominator(t *testing.T) {
 	}
 }
 
+// runWithCrashes runs the pipeline with each node in crashAt powering off
+// at its slot — a stage's start offset from pl.Offsets, so the node dies
+// just before that stage. The run always completes; the caller inspects how
+// gracefully the structure degraded.
+func runWithCrashes(e *sim.Engine, pl *Plan, values []int64, crashAt map[int]int) ([]Result, error) {
+	n := e.Field().N()
+	e.Faults = fault.NewInjector(fault.Spec{CrashAt: crashAt}, 1, n, pl.Params.Channels, pl.Offsets.End)
+	return Run(e, pl, values, agg.Sum, 1)
+}
+
 func TestFailuresBeforeBuild(t *testing.T) {
 	// A fifth of the nodes never start; the rest must still build a
 	// structure and aggregate their own values without deadlock.
@@ -102,24 +113,24 @@ func TestFailuresBeforeBuild(t *testing.T) {
 			Y: (rnd.Float64()*2 - 1) * rc / 2,
 		}
 	}
-	values, _ := make([]int64, n), 0
-	var aliveSum int64
-	dead := map[int]int{}
-	for i := 0; i < n; i++ {
-		values[i] = int64(i + 1)
-		if i%5 == 0 {
-			dead[i] = StageBuild
-		} else {
-			aliveSum += values[i]
-		}
-	}
 	cfg := DefaultConfig(p)
 	cfg.DeltaHat = n
 	cfg.PhiMax = 4
 	cfg.HopBound = 2
 	pl := NewPlan(p, cfg)
+	values := make([]int64, n)
+	var aliveSum int64
+	dead := map[int]int{}
+	for i := 0; i < n; i++ {
+		values[i] = int64(i + 1)
+		if i%5 == 0 {
+			dead[i] = pl.Offsets.Dominate
+		} else {
+			aliveSum += values[i]
+		}
+	}
 	e := sim.NewEngine(phy.NewField(p, pos), 13)
-	res, err := RunWithFailures(e, pl, values, agg.Sum, dead)
+	res, err := runWithCrashes(e, pl, values, dead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +179,14 @@ func TestFailuresMidPipeline(t *testing.T) {
 		values[i] = int64(i + 1)
 		want += values[i]
 	}
-	dead := map[int]int{3: StageTree, 9: StageBackbone}
 	cfg := DefaultConfig(p)
 	cfg.DeltaHat = n
 	cfg.PhiMax = 4
 	cfg.HopBound = 2
 	pl := NewPlan(p, cfg)
+	dead := map[int]int{3: pl.Offsets.Tree, 9: pl.Offsets.Backbone}
 	e := sim.NewEngine(phy.NewField(p, pos), 19)
-	res, err := RunWithFailures(e, pl, values, agg.Sum, dead)
+	res, err := runWithCrashes(e, pl, values, dead)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,10 +62,6 @@ type Config struct {
 	// derived from the parameters at Plan time.
 	DominateRoundFactor float64
 	ColorConfig         *backbone.ColorConfig
-
-	// Exec selects the execution mode Run dispatches to (see ExecMode); the
-	// zero value is ExecAuto. Every mode yields bit-identical transcripts.
-	Exec ExecMode
 }
 
 // DefaultConfig returns the pipeline configuration for the given model.

@@ -211,12 +211,12 @@ func TestScheduleAlignment(t *testing.T) {
 	// Re-run with fresh engine to measure slots.
 	e2 := sim.NewEngine(phy.NewField(p, pos), 13)
 	pl2 := NewPlan(p, DefaultConfig(p))
-	progs := make([]sim.Program, n)
+	steppers := make([]sim.Stepper, n)
 	res := make([]Result, n)
 	for i := 0; i < n; i++ {
-		progs[i] = pl2.program(i, 0, agg.Sum, res)
+		steppers[i] = &pipelineStepper{pl: pl2, op: agg.Sum, res: res}
 	}
-	slots, err := e2.Run(progs)
+	slots, err := e2.RunSteppers(steppers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,18 @@ package core
 
 import (
 	"mcnet/internal/backbone"
+	"mcnet/internal/csa"
 	"mcnet/internal/dominate"
 	"mcnet/internal/phy"
 	"mcnet/internal/reporter"
 	"mcnet/internal/sim"
 )
+
+// The stage functions in this file are the straight-line sim.Program form of
+// pipeline stages, for the protocols that still run as goroutine programs
+// and reuse the aggregation structure (the Sec. 7 colorer, Broadcast).
+// Aggregation itself runs the Stepper form in stepper.go, which follows the
+// same per-node random stream and slot timeline.
 
 // Structure is a node's place in the aggregation structure after the build
 // stages (Sec. 5): clustering, cluster color, size estimate, and channel
@@ -78,6 +85,61 @@ func (pl *Plan) BuildStage(ctx *sim.Ctx) Structure {
 		}
 	}
 	return st
+}
+
+// runAnnounce is stage 3: dominators repeatedly announce their color on
+// channel 0; members learn their cluster's color. Returns the node's color
+// (dominators: their own; members: the learned one, or 0 if missed).
+func (pl *Plan) runAnnounce(ctx *sim.Ctx, dom dominate.Outcome, ownColor int) int {
+	p := pl.Params
+	if dom.IsDominator {
+		for s := 0; s < pl.AnnounceSlots; s++ {
+			if ctx.Rand.Float64() < 0.2 {
+				ctx.Transmit(0, ColorMsg{Dom: ctx.ID(), Color: ownColor})
+			} else {
+				ctx.Idle()
+			}
+		}
+		return ownColor
+	}
+	color := -1
+	for s := 0; s < pl.AnnounceSlots; s++ {
+		if color >= 0 {
+			ctx.Idle()
+			continue
+		}
+		rec := ctx.Listen(0)
+		if m, ok := rec.Msg.(ColorMsg); ok && m.Dom == dom.Dominator &&
+			phy.SenderWithin(rec, p, p.ClusterRadius()) {
+			color = m.Color
+		}
+	}
+	if color < 0 {
+		color = 0 // degraded: TDMA misalignment possible, but keep going
+	}
+	return color
+}
+
+// runCSA is stage 4: the Lemma 14 chooser between the two CSA variants.
+func (pl *Plan) runCSA(ctx *sim.Ctx, dom dominate.Outcome, off int) int {
+	if pl.UseSmall {
+		cfg := pl.CSASmall
+		cfg.Offset = off
+		if dom.IsDominator {
+			return csa.RunSmallDominator(ctx, cfg)
+		}
+		return csa.RunSmallDominatee(ctx, cfg, dom.Dominator)
+	}
+	cfg := pl.CSALarge
+	cfg.Offset = off
+	if dom.IsDominator {
+		return csa.RunDominator(ctx, cfg, ctx.ID()) + 1 // members + self
+	}
+	est := csa.RunDominatee(ctx, cfg, dom.Dominator)
+	if est > 0 {
+		est++
+	}
+	return est
 }
 
 // FollowerStage runs pipeline stage 6 (Sec. 6, first procedure): followers

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
-
 	"mcnet/internal/agg"
 	"mcnet/internal/backbone"
 	"mcnet/internal/csa"
@@ -13,42 +10,11 @@ import (
 	"mcnet/internal/sim"
 )
 
-// This file is the Stepper-form port of the pipeline (see internal/sim:
-// Stepper, Frag). pipelineStepper chains the per-stage fragments exactly as
-// program chains the goroutine stage calls; the stage-glue code (structure
-// bookkeeping, the elect channel draw, the cast-value fold) runs at the
-// fragment boundaries, in the same position of the node's random stream and
-// slot timeline as in the goroutine form, so both forms produce
-// bit-identical transcripts. TestRunSteppedIdentity pins this.
-
-// RunStepped executes the full pipeline in the engine's goroutine-free mode.
-// It is behaviorally identical to Run — same per-node results, same
-// transcript, same events — but drives the nodes as Steppers, which at crowd
-// scale avoids the per-node goroutine stacks and the park/unpark slot cost.
-func RunStepped(e *sim.Engine, pl *Plan, values []int64, op agg.Op, seed uint64) ([]Result, error) {
-	return RunSteppedContext(context.Background(), e, pl, values, op, seed)
-}
-
-// RunSteppedContext is like RunStepped but aborts promptly with ctx.Err()
-// when ctx is cancelled mid-run.
-func RunSteppedContext(ctx context.Context, e *sim.Engine, pl *Plan, values []int64, op agg.Op, seed uint64) ([]Result, error) {
-	n := e.Field().N()
-	if len(values) != n {
-		return nil, fmt.Errorf("core: %d values for %d nodes", len(values), n)
-	}
-	res := make([]Result, n)
-	steppers := make([]sim.Stepper, n)
-	arena := make([]pipelineStepper, n) // one allocation for all nodes
-	for i := 0; i < n; i++ {
-		arena[i] = pipelineStepper{pl: pl, value: values[i], op: op, res: res}
-		steppers[i] = &arena[i]
-	}
-	_ = seed
-	if _, err := e.RunSteppersContext(ctx, steppers); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+// This file is the pipeline in the engine's Stepper form (see internal/sim:
+// Stepper, Frag). pipelineStepper chains the per-stage fragments; the
+// stage-glue code (structure bookkeeping, the elect channel draw, the
+// cast-value fold) runs at the fragment boundaries. Recorded digests in
+// testdata/golden_aggregate.json pin the transcripts.
 
 // Pipeline stages, in slot order.
 const (
@@ -126,9 +92,8 @@ func (ps *pipelineStepper) enterIdle(k int) {
 	ps.cur = &ps.idle
 }
 
-// enter builds the fragment for the current stage — the mirror of the
-// goroutine form's stage-call sites, including their pre-call glue (the
-// member's elect channel draw, the reporter's cast-value fold).
+// enter builds the fragment for the current stage, running its pre-stage
+// glue (the member's elect channel draw, the reporter's cast-value fold).
 func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
 	pl := ps.pl
 	p := sc.Params()
@@ -214,8 +179,7 @@ func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
 	}
 }
 
-// leave consumes the finished stage's result — the mirror of the goroutine
-// form's post-call glue, including its Emits.
+// leave consumes the finished stage's result, including the stage's Emits.
 func (ps *pipelineStepper) leave(sc *sim.StepCtx) {
 	pl := ps.pl
 	switch ps.stage {

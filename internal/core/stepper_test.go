@@ -1,11 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -63,60 +63,24 @@ func sortedEvents(evs []sim.Event) []sim.Event {
 	return out
 }
 
-// runIdentityCase runs the pipeline once per execution mode on the same
-// (topology, seed, faults) and requires bit-identical transcripts, events,
-// results, and slot counts.
+// runIdentityCase runs the pipeline on (topology, seed, faults) and checks
+// its per-node results, events and transcript against the digest recorded
+// from the retired goroutine-program pipeline.
 func runIdentityCase(t *testing.T, name string, pos []geo.Point, p model.Params, cfg Config, values []int64, op agg.Op, seed uint64, spec fault.Spec) {
 	t.Helper()
 	t.Run(name, func(t *testing.T) {
-		type outcome struct {
-			res    []Result
-			events []sim.Event
-			trace  []txRec
+		pl := NewPlan(p, cfg)
+		e := sim.NewEngine(phy.NewField(p, pos), seed)
+		if !spec.Zero() {
+			e.Faults = fault.NewInjector(spec, seed+1, len(pos), p.Channels, pl.Offsets.End)
 		}
-		run := func(stepped bool) outcome {
-			pl := NewPlan(p, cfg)
-			e := sim.NewEngine(phy.NewField(p, pos), seed)
-			if !spec.Zero() {
-				e.Faults = fault.NewInjector(spec, seed+1, len(pos), p.Channels, pl.Offsets.End)
-			}
-			var trace []txRec
-			e.Trace = captureTrace(&trace)
-			var (
-				res []Result
-				err error
-			)
-			if stepped {
-				res, err = RunStepped(e, pl, values, op, seed)
-			} else {
-				res, err = Run(e, pl, values, op, seed)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return outcome{res: res, events: sortedEvents(e.Events()), trace: trace}
+		var trace []txRec
+		e.Trace = captureTrace(&trace)
+		res, err := Run(e, pl, values, op, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		g, s := run(false), run(true)
-		if !reflect.DeepEqual(g.res, s.res) {
-			for i := range g.res {
-				if g.res[i] != s.res[i] {
-					t.Fatalf("node %d result differs:\n goroutine %+v\n stepped   %+v", i, g.res[i], s.res[i])
-				}
-			}
-		}
-		if !reflect.DeepEqual(g.events, s.events) {
-			t.Fatalf("events differ: goroutine %d vs stepped %d entries", len(g.events), len(s.events))
-		}
-		if len(g.trace) != len(s.trace) {
-			t.Fatalf("transcript lengths differ: %d vs %d", len(g.trace), len(s.trace))
-		}
-		for i := range g.trace {
-			if !reflect.DeepEqual(g.trace[i], s.trace[i]) {
-				t.Fatalf("transcript diverges at slot %d:\n goroutine %+v\n stepped   %+v",
-					g.trace[i].Slot, g.trace[i], s.trace[i])
-			}
-		}
-		checkPipelineGolden(t, "pipeline/"+name, g.res, g.events, g.trace)
+		checkPipelineGolden(t, "pipeline/"+name, res, sortedEvents(e.Events()), trace)
 	})
 }
 
@@ -125,7 +89,7 @@ func runIdentityCase(t *testing.T, name string, pos []geo.Point, p model.Params,
 // trace with each message's dynamic type — against the recorded entry.
 func checkPipelineGolden(t *testing.T, key string, res []Result, events []sim.Event, trace []txRec) {
 	t.Helper()
-	h := golden.NewHash()
+	h := sha256.New()
 	for i, r := range res {
 		fmt.Fprintf(h, "res %d %+v\n", i, r)
 	}
@@ -139,7 +103,7 @@ func checkPipelineGolden(t *testing.T, key string, res []Result, events []sim.Ev
 		}
 		fmt.Fprintf(h, "rx %v %v\n", rec.Listens, rec.Decoded)
 	}
-	golden.Check(t, goldenAggregatePath, key, h.Sum(), *updateGolden)
+	golden.Check(t, goldenAggregatePath, key, h, *updateGolden)
 }
 
 // clusterPositions places n-1 nodes uniformly within a half-r_c box around
@@ -157,11 +121,10 @@ func clusterPositions(n int, p model.Params, src int64) []geo.Point {
 	return pos
 }
 
-// TestRunSteppedIdentity pins the tentpole guarantee at the pipeline level:
-// the Stepper port of every stage reproduces the goroutine pipeline's
-// transcript bit for bit — across both CSA variants, multi-cluster fields,
-// and fault injection.
-func TestRunSteppedIdentity(t *testing.T) {
+// TestRunIdentity pins the pipeline's transcripts at the stage level: every
+// stage reproduces the recorded goroutine-pipeline transcript bit for bit —
+// across both CSA variants, multi-cluster fields, and fault injection.
+func TestRunIdentity(t *testing.T) {
 	values := func(n int) []int64 {
 		v := make([]int64, n)
 		for i := range v {
@@ -191,7 +154,7 @@ func TestRunSteppedIdentity(t *testing.T) {
 	}
 	{
 		// Faults: message loss plus deterministic and seeded crashes, so
-		// stepped crash retirement is exercised mid-pipeline.
+		// crash retirement is exercised mid-pipeline.
 		const n = 36
 		p := model.Default(4, 64)
 		cfg := DefaultConfig(p)
@@ -218,9 +181,9 @@ func TestRunSteppedIdentity(t *testing.T) {
 	}
 }
 
-// TestRunSteppedSlotCount pins that the stepped pipeline consumes exactly
-// the plan's slot budget, like the goroutine form.
-func TestRunSteppedSlotCount(t *testing.T) {
+// TestRunSlotCount pins that the pipeline consumes exactly the plan's slot
+// budget.
+func TestRunSlotCount(t *testing.T) {
 	const n = 12
 	p := model.Default(2, 64)
 	pos := clusterPositions(n, p, 9)
@@ -236,6 +199,6 @@ func TestRunSteppedSlotCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	if slots != pl.Offsets.End {
-		t.Errorf("stepped pipeline consumed %d slots, plan says %d", slots, pl.Offsets.End)
+		t.Errorf("pipeline consumed %d slots, plan says %d", slots, pl.Offsets.End)
 	}
 }

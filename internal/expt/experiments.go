@@ -40,9 +40,6 @@ type Options struct {
 	// backend names; empty means every registered backend. Other experiment
 	// families ignore it.
 	Colorers []string
-	// Exec pins the pipeline execution mode for every aggregation run
-	// (default core.ExecAuto). Tables are bit-identical at every setting.
-	Exec core.ExecMode
 	// Byz overrides the Byzantine-fraction axis of the f4 and f6 sweeps;
 	// empty means each experiment's default axis. Values must be in [0, 1].
 	Byz []float64
@@ -95,7 +92,6 @@ func E1SpeedupVsChannels(o Options) (*stats.Table, error) {
 		pos := Crowd(p, n, uint64(s+1))
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
@@ -153,7 +149,6 @@ func E2AggVsN(o Options) (*stats.Table, error) {
 		pos := Crowd(p, n, uint64(s+11))
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
@@ -210,7 +205,6 @@ func E3Baselines(o Options) (*stats.Table, error) {
 			p := model.Default(f, n)
 			pos := Crowd(p, n, seed)
 			cfg := core.DefaultConfig(p)
-			cfg.Exec = o.Exec
 			cfg.DeltaHat = n
 			cfg.PhiMax = 4
 			cfg.HopBound = 2
@@ -306,7 +300,6 @@ func E4Coloring(o Options) (*stats.Table, error) {
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+31))
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
@@ -515,7 +508,6 @@ func E7StructureBuild(o Options) (*stats.Table, error) {
 		n := ns[i]
 		p := model.Default(8, n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		pl := core.NewPlan(p, cfg)
 		covered := "-"
@@ -751,7 +743,6 @@ func E10DiameterTerm(o Options) (*stats.Table, error) {
 		}
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = 24
 		cfg.PhiMax = 24
 		cfg.HopBound = 3*L + 6

@@ -5,7 +5,6 @@
 package golden
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -15,22 +14,14 @@ import (
 	"testing"
 )
 
-// Hash is a running digest of a canonical encoding: write the encoding to
-// it, then read the result with Sum.
-type Hash struct{ hash.Hash }
-
-// NewHash returns an empty digest.
-func NewHash() Hash { return Hash{sha256.New()} }
-
-// Sum returns the hex SHA-256 of everything written so far.
-func (h Hash) Sum() string { return hex.EncodeToString(h.Hash.Sum(nil)) }
-
-// Check compares digest against the entry named key in the JSON digest file
-// at path. With update set it records digest under key instead, keeping the
-// file's other entries; run one package at a time when recording, since
+// Check compares the digest in h — a hash of a canonical encoding of the
+// run — against the entry named key in the JSON digest file at path. With
+// update set it records the digest under key instead, keeping the file's
+// other entries; record one package at a time (go test -p 1), since
 // several packages share the file.
-func Check(t testing.TB, path, key, digest string, update bool) {
+func Check(t testing.TB, path, key string, h hash.Hash, update bool) {
 	t.Helper()
+	digest := hex.EncodeToString(h.Sum(nil))
 	want := map[string]string{}
 	data, err := os.ReadFile(path)
 	switch {

@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"mcnet/internal/geo"
 	"mcnet/internal/model"
@@ -220,7 +222,7 @@ func TestReserveFirstSlotAllocFree(t *testing.T) {
 			t.Fatal("setup: deployment unexpectedly degenerate")
 		}
 		var before, after runtime.MemStats
-		runtime.GC()
+		quiesceMallocs(t)
 		runtime.ReadMemStats(&before)
 		f.Resolve(txs, rxs)
 		runtime.ReadMemStats(&after)
@@ -228,6 +230,27 @@ func TestReserveFirstSlotAllocFree(t *testing.T) {
 			t.Errorf("%s: first Resolve after Reserve performed %d allocations, want 0", tc.name, d)
 		}
 	}
+}
+
+// quiesceMallocs settles the process before a malloc-counting window: it
+// collects and scavenges until an empty window reads zero mallocs. The
+// runtime allocates for itself after a collection (the first one starts
+// background workers; the background scavenger's timer grows per-P timer
+// heaps), and a window meant to measure one call would count that too.
+// Scavenging synchronously leaves the background scavenger nothing to do.
+func quiesceMallocs(t *testing.T) {
+	t.Helper()
+	var a, b runtime.MemStats
+	for try := 0; try < 20; try++ {
+		debug.FreeOSMemory() // collect and scavenge now, not in the background
+		runtime.ReadMemStats(&a)
+		time.Sleep(time.Millisecond)
+		runtime.ReadMemStats(&b)
+		if b.Mallocs == a.Mallocs {
+			return
+		}
+	}
+	t.Fatalf("runtime still allocating in an empty window (%d mallocs)", b.Mallocs-a.Mallocs)
 }
 
 // TestSetCellSizeValidation covers the new knob's error handling and that

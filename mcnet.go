@@ -133,7 +133,6 @@ func New(n int, opts ...Option) (*Network, error) {
 	cfg.DeltaHat = min(d.DeltaHat, n)
 	cfg.PhiMax = d.PhiMax
 	cfg.HopBound = d.HopBound
-	cfg.Exec = core.ExecMode(s.exec)
 
 	// The fault spec can only be validated once the deployment's true n and
 	// channel count are fixed (crash sets name node IDs, jamming must leave

@@ -109,23 +109,49 @@ func TestAggregateCancelledContext(t *testing.T) {
 	}
 }
 
-// TestAggregateMidRunCancellation: cancelling mid-run aborts the round loop
-// promptly instead of finishing the schedule.
+// TestAggregateMidRunCancellation: cancelling mid-run aborts the slot loop
+// promptly instead of finishing the schedule. The cancel fires from the
+// event observer at the first milestone, so the abort point is fixed by the
+// transcript rather than by wall-clock timing.
 func TestAggregateMidRunCancellation(t *testing.T) {
 	const n = 96
-	// One channel makes the contention phase long enough that the deadline
-	// strikes mid-run.
 	nw, err := New(n, Channels(1), Seed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	var (
+		mu          sync.Mutex
+		first, last = -1, -1
+	)
+	nw.Events(func(ev Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		if first < 0 {
+			first = ev.Slot
+			cancel()
+		}
+		last = max(last, ev.Slot)
+	})
 	start := time.Now()
-	_, err = nw.Aggregate(ctx, make([]int64, n), Sum)
+	res, err := nw.Aggregate(ctx, make([]int64, n), Sum)
 	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Errorf("cancelled run returned a result: %+v", res)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if first < 0 {
+		t.Fatal("no milestone event fired, so the cancel never did")
+	}
+	// Cancellation is observed between slots: nothing may run past the
+	// slot after the one that cancelled, which lies inside the schedule.
+	if end := nw.Plan().BudgetSlots; first >= end || last > first+1 {
+		t.Errorf("events ran to slot %d after cancelling at slot %d (schedule ends at %d)", last, first, end)
 	}
 	if elapsed > 3*time.Second {
 		t.Errorf("cancellation took %v, want prompt return", elapsed)

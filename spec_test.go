@@ -91,6 +91,9 @@ func TestScenarioSpecFieldErrors(t *testing.T) {
 		{`{"n": 16, "seeds": -1}`, `"seeds"`},
 		{`{"n": 16, "colorer": "rainbow"}`, `"colorer"`},
 		{`{"n": 16, "bogus": true}`, `bogus`},
+		// The execution-mode field was removed with the goroutine engine;
+		// the strict parser now rejects it like any other unknown field.
+		{`{"n": 16, "exec": "stepped"}`, `exec`},
 		{`{"n": 16} {"n": 8}`, `trailing`},
 	}
 	for _, c := range cases {
