@@ -78,17 +78,23 @@ func TestExperimentOptionValidation(t *testing.T) {
 }
 
 // TestF4ExecIdentity is the experiment-level face of the transcript golden:
-// the quick Byzantine degradation sweep reproduces the table recorded from
-// the goroutine engine byte for byte (worker counts are covered by
-// TestExperimentParallelIdentity).
+// every experiment's quick single-seed table reproduces its recorded CSV
+// byte for byte (worker counts are covered by
+// TestExperimentParallelIdentity). The tables cover the cold goroutine
+// protocols too — colorers, baselines, broadcast and c3's churn crashes.
+// f4's entry was recorded from the retired goroutine pipeline.
 func TestF4ExecIdentity(t *testing.T) {
-	tb, err := RunExperiment("f4", ExperimentOptions{Seeds: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range ExperimentIDs() {
+		t.Run(id, func(t *testing.T) {
+			tb, err := RunExperiment(id, ExperimentOptions{Seeds: 1, Quick: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			h.Write([]byte(tb.CSV()))
+			golden.Check(t, goldenAggregatePath, id+"/quick", h, *updateGolden)
+		})
 	}
-	h := sha256.New()
-	h.Write([]byte(tb.CSV()))
-	golden.Check(t, goldenAggregatePath, "f4/quick", h, *updateGolden)
 }
 
 // TestRunExperimentContextCanceled: a dead context stops the sweep with

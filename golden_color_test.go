@@ -2,12 +2,15 @@ package mcnet
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"mcnet/internal/golden"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the coloring golden file from current output")
@@ -120,6 +123,32 @@ func TestColorGoldenSec7(t *testing.T) {
 			t.Errorf("%s: summary {palette %d conflicts %d uncolored %d slots %d colorSlots %d}, golden {%d %d %d %d %d}",
 				w.Name, g.Palette, g.Conflicts, g.Uncolored, g.Slots, g.ColorSlots,
 				w.Palette, w.Conflicts, w.Uncolored, w.Slots, w.ColorSlots)
+		}
+	}
+}
+
+// TestColorGoldenBackends pins the dplus1 and hsb backends over the golden
+// cases: the SHA-256 of each run's JSON-encoded ColorResult must match the
+// digest recorded in testdata/golden_color.json.
+func TestColorGoldenBackends(t *testing.T) {
+	path := filepath.Join("testdata", "golden_color.json")
+	for _, backend := range []string{"dplus1", "hsb"} {
+		for _, tc := range goldenColorCases(t) {
+			t.Run(backend+"/"+tc.name, func(t *testing.T) {
+				nw, err := New(tc.n, append(tc.opts, Colorer(backend))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := nw.Color(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.New()
+				if err := json.NewEncoder(h).Encode(res); err != nil {
+					t.Fatal(err)
+				}
+				golden.Check(t, path, "color/"+backend+"/"+tc.name, h, *updateGolden)
+			})
 		}
 	}
 }
