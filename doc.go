@@ -135,29 +135,14 @@
 // calendar wake-wheel instead of a blocked goroutine, so a million-node
 // crowd needs four goroutines instead of a million stacks. The cold
 // protocols — the coloring backends, the baselines, broadcast and the
-// E-series probes — still run as one goroutine per node behind a sharded
+// E-series probes — still run as one goroutine per node behind a one-word
 // slot barrier. The stepped pipeline reproduces the transcripts recorded
 // from the retired goroutine-per-node pipeline byte for byte, pinned by
 // digest goldens under -race -cpu 1,2,8 in CI.
 //
-// Two further mechanisms push the hot path at crowd scale. The slot
-// barrier shards at ≥1024 nodes: instead of every node's arrival bouncing
-// one shared atomic word, nodes are grouped by geo-grid region into ≤64
-// balanced shards with padded per-shard epoch counters and a two-level
-// combine — transcripts are bit-identical to the single-word barrier by
-// construction, pinned by a golden-transcript test and a -race -cpu
-// 1,2,8 CI stress leg. And Float32Kernel() (default off) swaps the SINR
-// inner loop for a divide-free float32 inverse-sqrt kernel: relative
-// error at most phy.Float32KernelTolerance (1e-4) on every accumulated
-// power, decode flips confined to the ε-ambiguous band around β,
-// bit-identical runs per (seed, kernel) at every Parallelism setting —
-// but not transcript-compatible with the default f64 kernel, which stays
-// frozen by the golden-transcript contracts. See README.md for the
-// error-bound derivations and measured numbers — on scalar single-core
-// hardware the f32 kernel trades slightly slower for divide-free, so
-// measure before enabling it. See cmd/mcagg or
-// cmd/mcscenario's -cpuprofile / -memprofile flags for profiling runs
-// without editing code.
+// Slot resolution uses one float64 SINR kernel, the arithmetic the golden
+// transcripts freeze. See cmd/mcagg or cmd/mcscenario's -cpuprofile /
+// -memprofile flags for profiling runs without editing code.
 //
 // Everything under internal/ is implementation — the SINR physical layer,
 // the slot-synchronous simulator, and the per-stage protocols — and is not

@@ -171,52 +171,6 @@ func TestPerformanceOptionValidation(t *testing.T) {
 	}
 }
 
-// TestFloat32KernelOption: the Float32Kernel knob is deterministic per
-// (seed, kernel) — deeply equal results run over run and across Parallelism
-// settings — computes the correct aggregate, and is rejected when α ≠ 3.
-func TestFloat32KernelOption(t *testing.T) {
-	const n = 64
-	values := make([]int64, n)
-	var want int64
-	for i := range values {
-		values[i] = int64(i * 7)
-		want += values[i]
-	}
-	run := func(opts ...Option) *AggregateResult {
-		t.Helper()
-		nw, err := New(n, append([]Option{Channels(4), Seed(23), Float32Kernel()}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := nw.Aggregate(context.Background(), values, Sum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run()
-	if base.Value != want {
-		t.Fatalf("f32 aggregate = %d, want %d", base.Value, want)
-	}
-	if again := run(); !reflect.DeepEqual(base, again) {
-		t.Error("equal (seed, kernel) produced different results")
-	}
-	if serial := run(Parallelism(1)); !reflect.DeepEqual(base, serial) {
-		t.Error("Parallelism(1) changed the f32 transcript")
-	}
-	if wide := run(Parallelism(8)); !reflect.DeepEqual(base, wide) {
-		t.Error("Parallelism(8) changed the f32 transcript")
-	}
-	if exact := run(Exact()); !reflect.DeepEqual(base, exact) {
-		// The crowd fits one grid cell, so hier degenerates to the exact scan
-		// and the f32 kernel must agree with itself across resolver modes.
-		t.Error("f32 kernel diverged between resolver modes on a crowd")
-	}
-	if _, err := New(n, Float32Kernel(), SINR(2.5, 1.5)); err == nil {
-		t.Error("Float32Kernel with α = 2.5 should fail at New")
-	}
-}
-
 // TestAggregateResolverModes: every resolver configuration runs the whole
 // pipeline and computes the right aggregate on a dense crowd. The crowd
 // fits inside one grid cell, so the hierarchical resolver degenerates to

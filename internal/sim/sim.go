@@ -19,22 +19,24 @@
 //     engine with one Step call per slot — no goroutine, no stack, no
 //     parking. The crowd-scale fast path (see stepper.go).
 //
-// Both forms interoperate in one run (RunMixed) and produce bit-identical
-// transcripts by construction: either way actions land in per-node pending
-// slots that the engine scans in node order, so the scheduler decides when
-// a node's action lands, never the resolved transcript.
+// A run drives one form: Run/RunContext take Programs and
+// RunSteppers/RunSteppersContext take Steppers; a nil entry of either
+// powers that node down. Both forms produce bit-identical transcripts by
+// construction: either way actions land in per-node pending slots that the
+// engine scans in node order, so the scheduler decides when a node's
+// action lands, never the resolved transcript.
 //
 // # Slot barrier
 //
 // A slot costs one synchronization round, not one rendezvous per node:
 // goroutine nodes deposit their action into a shared per-node slot (no
-// contention — node i writes only index i), the last arriver hands the
-// engine a single wake token, and after resolution the engine releases all
-// of them at once by closing the slot's release channel. Each node
-// therefore parks at most once per slot, and the engine parks once, instead
-// of the two blocking channel handoffs per node per slot of a naive design.
-// Stepped nodes never touch the barrier — the engine drives them inside its
-// own quiescent window.
+// contention — node i writes only index i) and arrive at one packed atomic
+// gate word, the last arriver hands the engine a single wake token, and
+// after resolution the engine releases all of them at once by closing the
+// slot's release channel. Each node therefore parks at most once per slot,
+// and the engine parks once, instead of the two blocking channel handoffs
+// per node per slot of a naive design. Stepped nodes never touch the
+// barrier — the engine drives them inside its own quiescent window.
 //
 // # Idle wake-wheel
 //
@@ -132,18 +134,9 @@ type Engine struct {
 	// zero-intensity injector leaves transcripts bit-identical to running
 	// with Faults == nil.
 	Faults FaultInjector
-	// Barrier selects the slot-barrier implementation (see BarrierMode).
-	// The default, BarrierAuto, shards the barrier at crowd scale and keeps
-	// the single-word gate for small runs. Every mode produces bit-identical
-	// transcripts — the barrier decides when the engine wakes, never the
-	// order slot state is read in. Set it before Run.
-	Barrier BarrierMode
 
 	field *phy.Field
 	seed  uint64
-	// sharding caches the node → barrier-shard map; positions are fixed for
-	// the engine's lifetime, so it is built once on first sharded run.
-	sharding *shardPlan
 
 	mu     sync.Mutex
 	events []Event
@@ -240,12 +233,7 @@ type roundState struct {
 	// low half counts arrivals so far. The engine rewrites both halves
 	// together between slots; arrivals increment the low half and compare
 	// the halves of the same atomic snapshot.
-	gate atomic.Uint64
-	// shards, when non-nil, replaces gate with per-region epoch counters
-	// combined through root — see barrier.go. shardOf maps node → shard.
-	shards  []gateShard
-	shardOf []int32
-	root    atomic.Uint64                 // live shards<<32 | completed shards
+	gate    atomic.Uint64
 	wake    chan struct{}                 // capacity 1: the completing arrival → engine
 	release atomic.Pointer[chan struct{}] // closed by the engine per slot
 
@@ -259,12 +247,35 @@ type roundState struct {
 	stop    chan struct{} // closed when the engine aborts the run
 }
 
+// arrive records one barrier arrival and wakes the engine if it completes
+// the slot. Both halves of the gate come from one atomic snapshot, so
+// exactly one arrival completes a slot. The wake send is non-blocking
+// because stale arrivals during an abort may race with an undelivered
+// token.
+func (rs *roundState) arrive() {
+	g := rs.gate.Add(1)
+	if uint32(g) == uint32(g>>32) {
+		select {
+		case rs.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// openGate publishes the next slot's expected arrival count with the
+// arrival count reset to zero. Must only be called in the engine's
+// quiescent window (no node can arrive until the release channel swap that
+// follows).
+func (rs *roundState) openGate(expectCount int) {
+	rs.gate.Store(uint64(uint32(expectCount)) << 32)
+}
+
 // Run executes one program per node until all programs return, then reports
-// the number of slots consumed. The slot counter continues across
-// consecutive Run calls on the same engine (startSlot), so staged protocols
-// measure cumulative time; use a fresh engine for independent runs.
+// the number of slots consumed. Every call starts at slot 0: Ctx.Slot and
+// event timestamps count from the start of this run, not across runs on
+// the same engine.
 func (e *Engine) Run(programs []Program) (slots int, err error) {
-	return e.run(context.Background(), programs, nil, 0)
+	return e.run(context.Background(), programs, nil)
 }
 
 // RunContext is like Run but aborts the round loop as soon as ctx is
@@ -272,46 +283,25 @@ func (e *Engine) Run(programs []Program) (slots int, err error) {
 // while waiting for node actions, so it takes effect promptly even during
 // long schedules.
 func (e *Engine) RunContext(ctx context.Context, programs []Program) (slots int, err error) {
-	return e.run(ctx, programs, nil, 0)
-}
-
-// RunFrom is like Run but starts the slot counter at startSlot, for staged
-// pipelines that want globally consistent event timestamps.
-func (e *Engine) RunFrom(startSlot int, programs []Program) (slots int, err error) {
-	return e.run(context.Background(), programs, nil, startSlot)
-}
-
-// RunFromContext combines RunFrom and RunContext.
-func (e *Engine) RunFromContext(ctx context.Context, startSlot int, programs []Program) (slots int, err error) {
-	return e.run(ctx, programs, nil, startSlot)
+	return e.run(ctx, programs, nil)
 }
 
 // RunSteppers executes one Stepper per node in the goroutine-free mode —
 // the Stepper-form counterpart of Run, with identical semantics and (for a
 // faithfully ported protocol) an identical transcript.
 func (e *Engine) RunSteppers(steppers []Stepper) (slots int, err error) {
-	return e.run(context.Background(), nil, steppers, 0)
+	return e.run(context.Background(), nil, steppers)
 }
 
 // RunSteppersContext combines RunSteppers and RunContext.
 func (e *Engine) RunSteppersContext(ctx context.Context, steppers []Stepper) (slots int, err error) {
-	return e.run(ctx, nil, steppers, 0)
+	return e.run(ctx, nil, steppers)
 }
 
-// RunMixed executes a mixed population: node i runs steppers[i] when
-// non-nil, programs[i] otherwise (either slice may be nil for "none of this
-// form"). Both forms share the slot clock, the resolver, and the fault
-// injector, and a node's form never shows in the transcript.
-func (e *Engine) RunMixed(programs []Program, steppers []Stepper) (slots int, err error) {
-	return e.run(context.Background(), programs, steppers, 0)
-}
-
-// RunMixedContext combines RunMixed and RunContext.
-func (e *Engine) RunMixedContext(ctx context.Context, programs []Program, steppers []Stepper) (slots int, err error) {
-	return e.run(ctx, programs, steppers, 0)
-}
-
-func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper, startSlot int) (int, error) {
+// run drives one population: node i runs steppers[i] when non-nil,
+// programs[i] otherwise (either slice may be nil for "none of this form").
+// Both forms share the slot clock, the resolver, and the fault injector.
+func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -360,32 +350,12 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 	}
 	var sr *steppedRun
 	if nSteppers > 0 {
-		sr = newSteppedRun(e, rs, steppers, nodeParams, startSlot)
+		sr = newSteppedRun(e, rs, steppers, nodeParams)
 	}
 	isStepped := func(i int) bool { return sr != nil && sr.state[i] != stepNone }
 
-	// Barrier selection: per-region shards at crowd scale (or on request),
-	// the single packed word otherwise. Only goroutine nodes arrive at the
-	// barrier, so both the mode choice and the per-shard expectations count
-	// program nodes only. shardExpect mirrors, per shard, the live
-	// non-idling program-node count the engine tracks globally in
-	// expectCount; both are engine-private and updated in the quiescent
-	// window only.
-	var shardExpect []int32
-	if nProgs > 0 && (e.Barrier == BarrierSharded || (e.Barrier == BarrierAuto && nProgs >= shardedBarrierMinNodes)) {
-		if e.sharding == nil {
-			e.sharding = buildShardPlan(e.field.Positions(), e.field.Params().RT())
-		}
-		rs.shards = make([]gateShard, e.sharding.count)
-		rs.shardOf = e.sharding.of
-		shardExpect = make([]int32, e.sharding.count)
-		for i := 0; i < n; i++ {
-			if !isStepped(i) {
-				shardExpect[rs.shardOf[i]]++
-			}
-		}
-	}
-	rs.openGates(nProgs, shardExpect)
+	// Only goroutine nodes arrive at the barrier.
+	rs.openGate(nProgs)
 	rel := make(chan struct{})
 	rs.release.Store(&rel)
 
@@ -409,7 +379,6 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 				params:  nodeParams,
 				Rand:    rands[i],
 				rs:      rs,
-				slot:    startSlot,
 				crashAt: math.MaxInt,
 			}
 			if e.Faults != nil {
@@ -432,7 +401,7 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 					// in progress; the done flag is set first so the engine
 					// retires the node before resolving.
 					rs.done[i].Store(true)
-					rs.arrive(i)
+					rs.arrive()
 				}()
 				if prog != nil {
 					prog(nctx)
@@ -475,8 +444,8 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 	rxs := make([]phy.Rx, 0, n)
 	e.field.Reserve(n, n)
 
-	slot := startSlot
-	for used := 0; ; used++ {
+	slot := 0
+	for {
 		txs, rxs = txs[:0], rxs[:0]
 		if expectCount > 0 {
 			// One wake token per slot: the last arrival of the barrier.
@@ -487,7 +456,7 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 			case <-rs.wake:
 			case <-ctx.Done():
 				abort()
-				return slot - startSlot, ctx.Err()
+				return slot, ctx.Err()
 			}
 		}
 		// Drive the awake stepped nodes inline: each deposits its action for
@@ -500,7 +469,7 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 		}
 		if pErr := rec.get(); pErr != nil {
 			abort()
-			return slot - startSlot, pErr
+			return slot, pErr
 		}
 		if expectCount > 0 || (sr != nil && len(sr.awake) > 0) {
 			// Collect the slot while retiring terminated nodes and
@@ -517,9 +486,6 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 						sr.state[i] = stepDead
 					} else {
 						progActive--
-						if shardExpect != nil {
-							shardExpect[rs.shardOf[i]]--
-						}
 					}
 					continue
 				}
@@ -538,9 +504,6 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 						sr.state[i] = stepSleeping
 					} else {
 						progIdling++
-						if shardExpect != nil {
-							shardExpect[rs.shardOf[i]]--
-						}
 					}
 				}
 			}
@@ -548,7 +511,7 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 				sr.compact()
 			}
 			if nActive == 0 {
-				return slot - startSlot, nil
+				return slot, nil
 			}
 		}
 		// else: every live node sleeps mid-IdleFor — nothing can arrive,
@@ -556,11 +519,11 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 		// directly.
 		if err := ctx.Err(); err != nil {
 			abort()
-			return slot - startSlot, err
+			return slot, err
 		}
-		if used >= maxSlots {
+		if slot >= maxSlots {
 			abort()
-			return slot - startSlot, fmt.Errorf("sim: exceeded MaxSlots = %d with %d nodes still live", maxSlots, nActive)
+			return slot, fmt.Errorf("sim: exceeded MaxSlots = %d with %d nodes still live", maxSlots, nActive)
 		}
 
 		if e.Faults != nil {
@@ -619,13 +582,10 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 			} else {
 				endingProgs++
 				progIdling--
-				if shardExpect != nil {
-					shardExpect[rs.shardOf[i]]++
-				}
 			}
 		}
 		expectCount = progActive - progIdling
-		rs.openGates(expectCount, shardExpect)
+		rs.openGate(expectCount)
 		next := make(chan struct{})
 		old := rs.release.Load()
 		rs.release.Store(&next)
@@ -705,7 +665,7 @@ func (c *Ctx) IdleFor(k int) {
 		panic(stopSignal{})
 	}
 	rs.pending[c.id] = action{kind: actIdleLong, count: k}
-	rs.arrive(c.id)
+	rs.arrive()
 	select {
 	case <-rs.idleWake[c.id]:
 		// The select can win this race against a concurrent abort; don't
@@ -745,7 +705,7 @@ func (c *Ctx) step(a action) phy.Reception {
 	// slot's channel at any moment.
 	rel := rs.release.Load()
 	rs.pending[c.id] = a
-	rs.arrive(c.id)
+	rs.arrive()
 	<-*rel
 	// An abort also closes the release channel to free parked nodes; their
 	// slot was never resolved, so unwind instead of handing the program a

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -240,23 +241,27 @@ func TestEventsAndSlotCounter(t *testing.T) {
 	}
 }
 
-func TestRunFromOffsetsSlots(t *testing.T) {
-	f := lineField(1, 1, 1)
-	e := NewEngine(f, 1)
-	var sawSlot int
-	progs := []Program{func(ctx *Ctx) {
+// TestRunStartsAtSlotZero: every Run starts its slot counter at 0, also
+// the second Run on the same engine.
+func TestRunStartsAtSlotZero(t *testing.T) {
+	e := NewEngine(lineField(1, 1, 1), 1)
+	var first []int
+	prog := func(ctx *Ctx) {
+		first = append(first, ctx.Slot())
 		ctx.Idle()
-		sawSlot = ctx.Slot()
-	}}
-	slots, err := e.RunFrom(100, progs)
-	if err != nil {
-		t.Fatal(err)
+		ctx.Idle()
 	}
-	if slots != 1 {
-		t.Errorf("slots = %d, want 1", slots)
+	for run := 0; run < 2; run++ {
+		slots, err := e.Run([]Program{prog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slots != 2 {
+			t.Errorf("run %d: slots = %d, want 2", run, slots)
+		}
 	}
-	if sawSlot != 101 {
-		t.Errorf("ctx.Slot() = %d, want 101", sawSlot)
+	if want := []int{0, 0}; !reflect.DeepEqual(first, want) {
+		t.Errorf("first ctx.Slot() per run = %v, want %v", first, want)
 	}
 }
 

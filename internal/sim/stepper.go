@@ -229,7 +229,7 @@ type steppedRun struct {
 	workers int
 }
 
-func newSteppedRun(e *Engine, rs *roundState, steppers []Stepper, nodeParams model.Params, startSlot int) *steppedRun {
+func newSteppedRun(e *Engine, rs *roundState, steppers []Stepper, nodeParams model.Params) *steppedRun {
 	n := len(steppers)
 	sr := &steppedRun{
 		ctxs:    make([]StepCtx, n),
@@ -251,7 +251,6 @@ func newSteppedRun(e *Engine, rs *roundState, steppers []Stepper, nodeParams mod
 			params:  nodeParams,
 			rs:      rs,
 			stepper: st,
-			slot:    startSlot,
 			crashAt: math.MaxInt,
 		}
 		if e.Faults != nil {

@@ -117,12 +117,12 @@ func sortedEvents(evs []Event) []Event {
 	return out
 }
 
-// runChatter runs the reference workload in the requested mode and returns
-// its transcript, events, and slot count.
-func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults FaultInjector, barrier BarrierMode) ([]slotRecord, []Event, int) {
+// runChatter runs the reference workload in the requested mode
+// ("goroutine" or "stepped") and returns its transcript, events, and slot
+// count.
+func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults FaultInjector) ([]slotRecord, []Event, int) {
 	t.Helper()
 	e := NewEngine(chatterField(n), seed)
-	e.Barrier = barrier
 	e.Faults = faults
 	var trace []slotRecord
 	e.Trace = recordTrace(&trace)
@@ -143,19 +143,6 @@ func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults Fa
 			steps[i] = &chatterStepper{rounds: rounds}
 		}
 		slots, err = e.RunSteppers(steps)
-	case "mixed":
-		// Odd nodes run the goroutine form, even nodes the stepped form, in
-		// one run — the interoperation the engine guarantees.
-		progs := make([]Program, n)
-		steps := make([]Stepper, n)
-		for i := 0; i < n; i++ {
-			if i%2 == 0 {
-				steps[i] = &chatterStepper{rounds: rounds}
-			} else {
-				progs[i] = chatterProgram(rounds)
-			}
-		}
-		slots, err = e.RunMixed(progs, steps)
 	default:
 		t.Fatalf("unknown mode %q", mode)
 	}
@@ -166,27 +153,25 @@ func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults Fa
 }
 
 // TestSteppedEngineEquivalence pins the tentpole invariant at the engine
-// level: the same workload run as goroutine Programs, as Steppers, and as a
-// mixed population produces bit-identical transcripts, events, and slot
-// counts — with and without the global barrier, at several sizes.
+// level: the same workload run as goroutine Programs and as Steppers
+// produces bit-identical transcripts, events, and slot counts at several
+// sizes.
 func TestSteppedEngineEquivalence(t *testing.T) {
 	for _, n := range []int{1, 7, 64, 1500} {
 		for _, seed := range []uint64{1, 42} {
 			n, seed := n, seed
 			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
 				t.Parallel()
-				gTrace, gEvents, gSlots := runChatter(t, n, 40, seed, "goroutine", nil, BarrierAuto)
-				for _, mode := range []string{"stepped", "mixed"} {
-					trace, events, slots := runChatter(t, n, 40, seed, mode, nil, BarrierAuto)
-					if slots != gSlots {
-						t.Fatalf("%s: slots = %d, goroutine = %d", mode, slots, gSlots)
-					}
-					if !reflect.DeepEqual(trace, gTrace) {
-						t.Fatalf("%s: transcript differs from goroutine mode", mode)
-					}
-					if !reflect.DeepEqual(events, gEvents) {
-						t.Fatalf("%s: events differ from goroutine mode", mode)
-					}
+				gTrace, gEvents, gSlots := runChatter(t, n, 40, seed, "goroutine", nil)
+				trace, events, slots := runChatter(t, n, 40, seed, "stepped", nil)
+				if slots != gSlots {
+					t.Fatalf("slots = %d, goroutine = %d", slots, gSlots)
+				}
+				if !reflect.DeepEqual(trace, gTrace) {
+					t.Fatal("transcript differs from goroutine mode")
+				}
+				if !reflect.DeepEqual(events, gEvents) {
+					t.Fatal("events differ from goroutine mode")
 				}
 			})
 		}
@@ -218,18 +203,16 @@ func TestSteppedEquivalenceUnderCrashes(t *testing.T) {
 	faults := func() FaultInjector {
 		return crashFaults{at: map[int]int{0: 0, 3: 7, 11: 13, 17: 2, 40: 25}}
 	}
-	gTrace, gEvents, gSlots := runChatter(t, 64, 40, 9, "goroutine", faults(), BarrierAuto)
-	for _, mode := range []string{"stepped", "mixed"} {
-		trace, events, slots := runChatter(t, 64, 40, 9, mode, faults(), BarrierAuto)
-		if slots != gSlots {
-			t.Fatalf("%s: slots = %d, goroutine = %d", mode, slots, gSlots)
-		}
-		if !reflect.DeepEqual(trace, gTrace) {
-			t.Fatalf("%s: transcript differs from goroutine mode under crashes", mode)
-		}
-		if !reflect.DeepEqual(events, gEvents) {
-			t.Fatalf("%s: events differ from goroutine mode under crashes", mode)
-		}
+	gTrace, gEvents, gSlots := runChatter(t, 64, 40, 9, "goroutine", faults())
+	trace, events, slots := runChatter(t, 64, 40, 9, "stepped", faults())
+	if slots != gSlots {
+		t.Fatalf("slots = %d, goroutine = %d", slots, gSlots)
+	}
+	if !reflect.DeepEqual(trace, gTrace) {
+		t.Fatal("transcript differs from goroutine mode under crashes")
+	}
+	if !reflect.DeepEqual(events, gEvents) {
+		t.Fatal("events differ from goroutine mode under crashes")
 	}
 }
 
@@ -391,8 +374,8 @@ func TestSteppedParallelDrive(t *testing.T) {
 		t.Skip("crowd-sized equivalence run")
 	}
 	n := parallelStepMin + 512
-	gTrace, gEvents, gSlots := runChatter(t, n, 12, 3, "goroutine", nil, BarrierAuto)
-	sTrace, sEvents, sSlots := runChatter(t, n, 12, 3, "stepped", nil, BarrierAuto)
+	gTrace, gEvents, gSlots := runChatter(t, n, 12, 3, "goroutine", nil)
+	sTrace, sEvents, sSlots := runChatter(t, n, 12, 3, "stepped", nil)
 	if gSlots != sSlots {
 		t.Fatalf("slots: goroutine %d, stepped %d", gSlots, sSlots)
 	}

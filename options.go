@@ -25,7 +25,6 @@ type settings struct {
 	exact       bool    // force exact resolution (Exact option)
 	farFieldTol float64 // far-field relative error; <0 = resolver default, 0 = exact
 	cellFrac    float64 // hierarchical grid cell size as a fraction of R_T; 0 = default
-	kernel32    bool    // divide-free float32 SINR kernel (Float32Kernel option)
 
 	// faults is the run's fault/dynamics spec; faulted records that a fault
 	// option was given (even at zero intensity), which attaches the
@@ -402,27 +401,6 @@ func FarFieldTolerance(tol float64) Option {
 			return fmt.Errorf("mcnet: FarFieldTolerance = %v must be a finite value ≥ 0", tol)
 		}
 		s.farFieldTol = tol
-		return nil
-	}
-}
-
-// Float32Kernel selects the divide-free float32 SINR kernel for slot
-// resolution: per-pair received powers come from a float32 inverse-sqrt
-// iteration (no divides or square roots in the inner loop) with relative
-// error at most phy.Float32KernelTolerance on every accumulated power —
-// signal, interference, RSSI — versus the default float64 kernel. Decode
-// decisions can differ only when the SINR sits within that error of the
-// threshold β.
-//
-// Default off: the float64 kernel is frozen by the repository's
-// transcript-replay contracts. Runs under the f32 kernel are themselves
-// fully deterministic — bit-identical per (seed, kernel) at every
-// Parallelism setting — but are NOT transcript-compatible with f64 runs.
-// Requires α = 3 (the default; checked against the SINR option at New
-// time).
-func Float32Kernel() Option {
-	return func(s *settings) error {
-		s.kernel32 = true
 		return nil
 	}
 }
