@@ -5,12 +5,16 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
+	"mcnet/internal/coloring"
 	"mcnet/internal/golden"
+	"mcnet/internal/phy"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the coloring golden file from current output")
@@ -150,5 +154,58 @@ func TestColorGoldenBackends(t *testing.T) {
 				golden.Check(t, path, "color/"+backend+"/"+tc.name, h, *updateGolden)
 			})
 		}
+	}
+}
+
+// TestColorGoldenSec7Trace pins the sec7 backend's slot-level behaviour over
+// the golden cases, which golden_color_sec7.json (colors and summaries only)
+// does not: the SHA-256 of every resolved slot's transmissions (with each
+// message's dynamic type), listens and decode outcomes, followed by the
+// per-node results and the sorted event log, must match the digest recorded
+// in testdata/golden_color.json.
+func TestColorGoldenSec7Trace(t *testing.T) {
+	path := filepath.Join("testdata", "golden_color.json")
+	for _, tc := range goldenColorCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, err := New(tc.n, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			e, _ := nw.newEngine()
+			e.Trace = func(slot int, txs []phy.Tx, rxs []phy.Rx, recs []phy.Reception) {
+				fmt.Fprintf(h, "slot %d\n", slot)
+				for _, tx := range txs {
+					fmt.Fprintf(h, "tx %d %d %T%+v\n", tx.Node, tx.Channel, tx.Msg, tx.Msg)
+				}
+				for k, rx := range rxs {
+					fmt.Fprintf(h, "rx %d %d %v %d\n", rx.Node, rx.Channel, recs[k].Decoded, recs[k].From)
+				}
+			}
+			res, _, err := coloring.Sec7{}.Color(context.Background(), e, nw.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range res {
+				fmt.Fprintf(h, "res %d %+v\n", i, r)
+			}
+			evs := e.Events()
+			sort.Slice(evs, func(a, b int) bool {
+				if evs[a].Slot != evs[b].Slot {
+					return evs[a].Slot < evs[b].Slot
+				}
+				if evs[a].Node != evs[b].Node {
+					return evs[a].Node < evs[b].Node
+				}
+				if evs[a].Name != evs[b].Name {
+					return evs[a].Name < evs[b].Name
+				}
+				return evs[a].Value < evs[b].Value
+			})
+			for _, ev := range evs {
+				fmt.Fprintf(h, "ev %+v\n", ev)
+			}
+			golden.Check(t, path, "sec7-trace/"+tc.name, h, *updateGolden)
+		})
 	}
 }

@@ -1,19 +1,45 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"mcnet/internal/agg"
 	"mcnet/internal/fault"
 	"mcnet/internal/geo"
+	"mcnet/internal/golden"
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
 	"mcnet/internal/sim"
 	"mcnet/internal/topology"
 )
 
-func TestBroadcastSingleCluster(t *testing.T) {
+// bcastDeployment is one broadcast scenario: a plan over a field, the
+// engine seed, and the source with its payload.
+type bcastDeployment struct {
+	pl      *Plan
+	pos     []geo.Point
+	seed    uint64
+	source  int
+	payload int64
+}
+
+func (d bcastDeployment) run(t *testing.T, faults sim.FaultInjector, trace sim.TraceFn) ([]BroadcastResult, *sim.Engine) {
+	t.Helper()
+	e := sim.NewEngine(phy.NewField(d.pl.Params, d.pos), d.seed)
+	e.Faults = faults
+	e.Trace = trace
+	res, err := Broadcast(e, d.pl, d.source, d.payload, d.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, e
+}
+
+// bcastSingleCluster is a 32-node crowd inside one cluster radius.
+func bcastSingleCluster() bcastDeployment {
 	const n = 32
 	p := model.Default(4, 64)
 	rc := p.ClusterRadius()
@@ -29,12 +55,30 @@ func TestBroadcastSingleCluster(t *testing.T) {
 	cfg.DeltaHat = n
 	cfg.PhiMax = 4
 	cfg.HopBound = 2
-	pl := NewPlan(p, cfg)
-	e := sim.NewEngine(phy.NewField(p, pos), 5)
-	res, err := Broadcast(e, pl, 7, 424242, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return bcastDeployment{pl: NewPlan(p, cfg), pos: pos, seed: 5, source: 7, payload: 424242}
+}
+
+// bcastMultiHop is a sparse 60-node field spanning several clusters.
+func bcastMultiHop() bcastDeployment {
+	const n = 60
+	p := model.Default(2, 128)
+	rnd := rand.New(rand.NewSource(7))
+	pos := topology.UniformDegree(rnd, n, p.REps(), 14)
+	cfg := DefaultConfig(p)
+	cfg.DeltaHat = 24
+	cfg.PhiMax = 24
+	cfg.HopBound = 12
+	return bcastDeployment{pl: NewPlan(p, cfg), pos: pos, seed: 9, source: 0, payload: 99}
+}
+
+// bcastSingleton is one node that is its own dominator and the source.
+func bcastSingleton() bcastDeployment {
+	p := model.Default(2, 64)
+	return bcastDeployment{pl: NewPlan(p, DefaultConfig(p)), pos: []geo.Point{{X: 0}}, seed: 1, source: 0, payload: 7}
+}
+
+func TestBroadcastSingleCluster(t *testing.T) {
+	res, _ := bcastSingleCluster().run(t, nil, nil)
 	for i, r := range res {
 		if !r.Ok || r.Value != 424242 {
 			t.Errorf("node %d: %+v", i, r)
@@ -46,20 +90,8 @@ func TestBroadcastMultiHop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hop broadcast integration is slow")
 	}
-	const n = 60
-	p := model.Default(2, 128)
-	rnd := rand.New(rand.NewSource(7))
-	pos := topology.UniformDegree(rnd, n, p.REps(), 14)
-	cfg := DefaultConfig(p)
-	cfg.DeltaHat = 24
-	cfg.PhiMax = 24
-	cfg.HopBound = 12
-	pl := NewPlan(p, cfg)
-	e := sim.NewEngine(phy.NewField(p, pos), 9)
-	res, err := Broadcast(e, pl, 0, 99, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := bcastMultiHop()
+	res, _ := d.run(t, nil, nil)
 	informed := 0
 	for _, r := range res {
 		if r.Ok {
@@ -69,23 +101,72 @@ func TestBroadcastMultiHop(t *testing.T) {
 			}
 		}
 	}
-	if informed < n*9/10 {
+	if n := len(d.pos); informed < n*9/10 {
 		t.Errorf("only %d/%d informed", informed, n)
 	}
 }
 
 func TestBroadcastFromDominator(t *testing.T) {
 	// Source that ends up a dominator: stage B1 degenerates gracefully.
-	p := model.Default(2, 64)
-	cfg := DefaultConfig(p)
-	pl := NewPlan(p, cfg)
-	e := sim.NewEngine(phy.NewField(p, []geo.Point{{X: 0}}), 1)
-	res, err := Broadcast(e, pl, 0, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := bcastSingleton().run(t, nil, nil)
 	if !res[0].Ok || res[0].Value != 7 {
 		t.Errorf("singleton broadcast: %+v", res[0])
+	}
+}
+
+// TestBroadcastGolden pins Broadcast's per-node results, sorted events and
+// per-slot transmit/listen/decode transcript for the TestBroadcast*
+// deployments, plus the single-cluster deployment with crashes during
+// structure construction, at the build/broadcast boundary and inside the
+// backbone flood. The crash-boundary case crashes the dominator exactly at
+// the end of structure construction and a member exactly at the slot after
+// its last primitive: the code a Program runs between its last primitive
+// and the crash slot (recording the role, the result and its event) must
+// still run there.
+func TestBroadcastGolden(t *testing.T) {
+	single := bcastSingleCluster()
+	off := single.pl.Offsets
+	dom := 0
+	plain, _ := single.run(t, nil, nil)
+	for i, r := range plain {
+		if r.IsDominator {
+			dom = i
+			break
+		}
+	}
+	stride := single.pl.Cfg.PhiMax
+	end := off.Followers + single.pl.sourceUpBlocks()*stride + single.pl.floodBlocks()/stride*stride + 2*stride
+	cases := []struct {
+		name  string
+		d     bcastDeployment
+		crash map[int]int
+	}{
+		{"single-cluster", single, nil},
+		{"multi-hop", bcastMultiHop(), nil},
+		{"singleton", bcastSingleton(), nil},
+		{"single-cluster-crash", single, map[int]int{
+			2: 40, 9: off.Announce + 3, 14: off.Followers, 21: off.Followers + 17,
+		}},
+		{"single-cluster-crash-boundary", single, map[int]int{dom: off.Followers, 5: end}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "multi-hop" && testing.Short() {
+				t.Skip("multi-hop broadcast integration is slow")
+			}
+			var faults sim.FaultInjector
+			if tc.crash != nil {
+				faults = fault.NewInjector(fault.Spec{CrashAt: tc.crash}, 1, len(tc.d.pos), tc.d.pl.Params.Channels, off.End)
+			}
+			var trace []txRec
+			res, e := tc.d.run(t, faults, captureTrace(&trace))
+			h := sha256.New()
+			for i, r := range res {
+				fmt.Fprintf(h, "res %d %+v\n", i, r)
+			}
+			writeTranscript(h, sortedEvents(e.Events()), trace)
+			golden.Check(t, goldenAggregatePath, "broadcast/"+tc.name, h, *updateGolden)
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -93,17 +94,23 @@ func checkPipelineGolden(t *testing.T, key string, res []Result, events []sim.Ev
 	for i, r := range res {
 		fmt.Fprintf(h, "res %d %+v\n", i, r)
 	}
+	writeTranscript(h, events, trace)
+	golden.Check(t, goldenAggregatePath, key, h, *updateGolden)
+}
+
+// writeTranscript writes the sorted events and the per-slot
+// transmit/listen/decode trace, each message with its dynamic type.
+func writeTranscript(w io.Writer, events []sim.Event, trace []txRec) {
 	for _, ev := range events {
-		fmt.Fprintf(h, "ev %+v\n", ev)
+		fmt.Fprintf(w, "ev %+v\n", ev)
 	}
 	for _, rec := range trace {
-		fmt.Fprintf(h, "slot %d\n", rec.Slot)
+		fmt.Fprintf(w, "slot %d\n", rec.Slot)
 		for _, tx := range rec.Txs {
-			fmt.Fprintf(h, "tx %d %d %T%+v\n", tx.Node, tx.Channel, tx.Msg, tx.Msg)
+			fmt.Fprintf(w, "tx %d %d %T%+v\n", tx.Node, tx.Channel, tx.Msg, tx.Msg)
 		}
-		fmt.Fprintf(h, "rx %v %v\n", rec.Listens, rec.Decoded)
+		fmt.Fprintf(w, "rx %v %v\n", rec.Listens, rec.Decoded)
 	}
-	golden.Check(t, goldenAggregatePath, key, h, *updateGolden)
 }
 
 // clusterPositions places n-1 nodes uniformly within a half-r_c box around
