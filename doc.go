@@ -54,9 +54,9 @@
 // fixed per-node lie, ByzEquivocate: a fresh lie per slot and channel,
 // ByzSilent: transmit nothing); Churn(spec) crashes nodes at explicit or
 // seeded random slots. Every fault decision is a pure function of the run
-// seed, so faulty runs replay bit-identically across both execution modes
-// and all worker counts, and zero-intensity faults reproduce the
-// fault-free transcript bit-for-bit. Results gain a FaultReport
+// seed, so faulty runs replay bit-identically across all worker counts,
+// and zero-intensity faults reproduce the fault-free transcript
+// bit-for-bit. Results gain a FaultReport
 // (delivered vs. lost, jammed slot-channels, crashed and Byzantine nodes,
 // honest-survivor correctness — SurvivorsExact and SurvivorsAgreeing
 // exclude the liars themselves). RunScenario sweeps fault grids and
@@ -129,16 +129,17 @@
 // fan out over a persistent worker pool, so no per-slot allocations or
 // goroutine spawns occur.
 //
-// Aggregate, every sweep and every served job run the pipeline on the
-// engine's stepped form at every n: node state lives in resumable steppers
-// the engine drives inline each slot, with long idle stretches parked on a
-// calendar wake-wheel instead of a blocked goroutine, so a million-node
-// crowd needs four goroutines instead of a million stacks. The cold
-// protocols — the coloring backends, the baselines, broadcast and the
-// E-series probes — still run as one goroutine per node behind a one-word
-// slot barrier. The stepped pipeline reproduces the transcripts recorded
-// from the retired goroutine-per-node pipeline byte for byte, pinned by
-// digest goldens under -race -cpu 1,2,8 in CI.
+// The simulator has one engine: node state lives in resumable steppers the
+// engine drives inline each slot, with long idle stretches parked on a
+// calendar wake-wheel, so a million-node crowd needs four goroutines
+// instead of a million stacks. Aggregate, every sweep and every served job
+// run the pipeline as a chain of stage fragments. The cold protocols — the
+// coloring backends, the baselines, broadcast and the E-series probes —
+// stay straight-line code, each node an iter.Pull coroutine the engine
+// resumes once per step, and reuse the pipeline's fragments. Everything
+// reproduces the transcripts recorded from the retired goroutine-per-node
+// engine byte for byte, crash boundaries included, pinned by digest
+// goldens under -race -cpu 1,2,8 in CI.
 //
 // Slot resolution uses one float64 SINR kernel, the arithmetic the golden
 // transcripts freeze. See cmd/mcagg or cmd/mcscenario's -cpuprofile /

@@ -32,6 +32,20 @@ func greedyColors(pos []geo.Point, radius float64) []int {
 	return colors
 }
 
+// colorStage drives the coloring stage's fragment from a Program.
+func colorStage(ctx *sim.Ctx, cfg ColorConfig) ColorOutcome {
+	f := ColorFrag{Cfg: cfg}
+	ctx.Run(&f)
+	return f.Out
+}
+
+// treeStage drives the inter-cluster stage's fragment from a Program.
+func treeStage(ctx *sim.Ctx, cfg TreeConfig, color int, value int64, op agg.Op) TreeOutcome {
+	f := TreeFrag{Cfg: cfg, Color: color, Value: value, Op: op}
+	ctx.Run(&f)
+	return f.Out
+}
+
 func maxOf(xs []int) int {
 	m := 0
 	for _, x := range xs {
@@ -54,7 +68,7 @@ func TestRunColorProper(t *testing.T) {
 		progs := make([]sim.Program, len(pos))
 		for i := range progs {
 			i := i
-			progs[i] = func(ctx *sim.Ctx) { out[i] = RunColor(ctx, cfg) }
+			progs[i] = func(ctx *sim.Ctx) { out[i] = colorStage(ctx, cfg) }
 		}
 		if _, err := e.Run(progs); err != nil {
 			t.Fatal(err)
@@ -86,7 +100,7 @@ func TestRunColorSingleton(t *testing.T) {
 	cfg := DefaultColorConfig(p, 8)
 	e := sim.NewEngine(phy.NewField(p, []geo.Point{{X: 0}}), 1)
 	var out ColorOutcome
-	progs := []sim.Program{func(ctx *sim.Ctx) { out = RunColor(ctx, cfg) }}
+	progs := []sim.Program{func(ctx *sim.Ctx) { out = colorStage(ctx, cfg) }}
 	if _, err := e.Run(progs); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +116,7 @@ func TestColorSlotBudget(t *testing.T) {
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
 	progs := []sim.Program{
-		func(ctx *sim.Ctx) { RunColor(ctx, cfg); after[0] = ctx.Slot() },
+		func(ctx *sim.Ctx) { colorStage(ctx, cfg); after[0] = ctx.Slot() },
 		func(ctx *sim.Ctx) { IdleColor(ctx, cfg); after[1] = ctx.Slot() },
 	}
 	if _, err := e.Run(progs); err != nil {
@@ -128,7 +142,7 @@ func runTree(t *testing.T, pos []geo.Point, values []int64, op agg.Op, seed uint
 	for i := range progs {
 		i := i
 		progs[i] = func(ctx *sim.Ctx) {
-			out[i] = RunTree(ctx, cfg, colors[i], values[i], op)
+			out[i] = treeStage(ctx, cfg, colors[i], values[i], op)
 		}
 	}
 	if _, err := e.Run(progs); err != nil {
@@ -253,7 +267,7 @@ func TestTreeSlotBudget(t *testing.T) {
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
 	progs := []sim.Program{
-		func(ctx *sim.Ctx) { RunTree(ctx, cfg, 0, 1, agg.Sum); after[0] = ctx.Slot() },
+		func(ctx *sim.Ctx) { treeStage(ctx, cfg, 0, 1, agg.Sum); after[0] = ctx.Slot() },
 		func(ctx *sim.Ctx) { ctx.IdleFor(cfg.SlotBudget()); after[1] = ctx.Slot() },
 	}
 	if _, err := e.Run(progs); err != nil {
@@ -273,7 +287,7 @@ func TestTreeEmitsEvents(t *testing.T) {
 	progs := make([]sim.Program, len(pos))
 	for i := range progs {
 		i := i
-		progs[i] = func(ctx *sim.Ctx) { RunTree(ctx, cfg, colors[i], 1, agg.Sum) }
+		progs[i] = func(ctx *sim.Ctx) { treeStage(ctx, cfg, colors[i], 1, agg.Sum) }
 	}
 	if _, err := e.Run(progs); err != nil {
 		t.Fatal(err)

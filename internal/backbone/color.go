@@ -7,10 +7,8 @@ package backbone
 
 import (
 	"math"
-	"sort"
 
 	"mcnet/internal/model"
-	"mcnet/internal/phy"
 	"mcnet/internal/sim"
 )
 
@@ -79,7 +77,7 @@ func (c ColorConfig) resolveSlots(p model.Params) int {
 	return int(math.Ceil(c.ResolveFactor * p.LogN()))
 }
 
-// SlotBudget returns the exact number of slots RunColor and IdleColor
+// SlotBudget returns the exact number of slots ColorFrag and IdleColor
 // consume.
 func (c ColorConfig) SlotBudget(p model.Params) int {
 	return c.discoverSlots(p) + c.resolveSlots(p)
@@ -101,76 +99,4 @@ type ColorOutcome struct {
 // IdleColor consumes the stage budget for nodes that are not dominators.
 func IdleColor(ctx *sim.Ctx, cfg ColorConfig) {
 	ctx.IdleFor(cfg.SlotBudget(ctx.Params()))
-}
-
-// RunColor executes the dominator side of the coloring stage, consuming
-// exactly cfg.SlotBudget slots.
-func RunColor(ctx *sim.Ctx, cfg ColorConfig) ColorOutcome {
-	p := ctx.Params()
-	out := ColorOutcome{Color: -1}
-
-	// Sub-stage 1: neighbor discovery. Random beacons; receivers keep
-	// senders whose RSSI-estimated distance is within Radius.
-	neighbors := map[int]bool{}
-	for s := 0; s < cfg.discoverSlots(p); s++ {
-		if ctx.Rand.Float64() < cfg.BeaconProb {
-			ctx.Transmit(cfg.Channel, Beacon{From: ctx.ID()})
-			continue
-		}
-		rec := ctx.Listen(cfg.Channel)
-		if b, ok := rec.Msg.(Beacon); ok && phy.SenderWithin(rec, p, cfg.Radius) {
-			neighbors[b.From] = true
-		}
-	}
-	out.Neighbors = make([]int, 0, len(neighbors))
-	for id := range neighbors {
-		out.Neighbors = append(out.Neighbors, id)
-	}
-	sort.Ints(out.Neighbors)
-
-	// Sub-stage 2: ID-ordered greedy resolution.
-	var (
-		smaller    = map[int]bool{} // smaller-ID neighbors not yet heard
-		taken      = map[int]bool{} // colors announced by any neighbor
-		resolveLen = cfg.resolveSlots(p)
-	)
-	for _, id := range out.Neighbors {
-		if id < ctx.ID() {
-			smaller[id] = true
-		}
-	}
-	pickColor := func() {
-		c := 0
-		for taken[c] {
-			c++
-		}
-		if c >= cfg.PhiMax {
-			out.Overflowed = true
-			c %= cfg.PhiMax
-		}
-		out.Color = c
-	}
-	for s := 0; s < resolveLen; s++ {
-		if out.Color < 0 && len(smaller) == 0 {
-			pickColor()
-		}
-		if out.Color >= 0 && ctx.Rand.Float64() < cfg.AnnounceProb {
-			ctx.Transmit(cfg.Channel, Final{From: ctx.ID(), Color: out.Color})
-			continue
-		}
-		rec := ctx.Listen(cfg.Channel)
-		f, ok := rec.Msg.(Final)
-		if !ok || !neighbors[f.From] || !phy.SenderWithin(rec, p, cfg.Radius) {
-			continue
-		}
-		taken[f.Color] = true
-		delete(smaller, f.From)
-	}
-	if out.Color < 0 {
-		// Budget exhausted before all smaller neighbors were heard: color
-		// greedily against what is known rather than stall the pipeline.
-		out.Forced = true
-		pickColor()
-	}
-	return out
 }

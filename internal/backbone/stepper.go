@@ -1,9 +1,7 @@
 package backbone
 
-// Stepper-form ports of RunColor and RunTree (see internal/sim: Stepper,
-// Frag). Each fragment mirrors its goroutine original's control flow — the
-// order and conditions of ctx.Rand draws and the placement of post-Listen
-// consumption code — so the two forms produce bit-identical transcripts.
+// The coloring and tree stages as sim.Frags (see internal/sim: Stepper,
+// Frag): each phase's loop state is held explicitly, one slot per Feed.
 
 import (
 	"sort"
@@ -13,8 +11,15 @@ import (
 	"mcnet/internal/sim"
 )
 
-// ColorFrag is the sim.Frag form of RunColor. Out is valid once Feed
-// returns true.
+// ColorFrag executes the dominator side of the coloring stage, consuming
+// exactly Cfg.SlotBudget slots. Out is valid once Feed returns true.
+//
+// Sub-stage 1 is neighbor discovery: random beacons, and receivers keep
+// senders whose RSSI-estimated distance is within Radius. Sub-stage 2 is
+// ID-ordered greedy resolution: once every smaller-ID neighbor has
+// announced, the node takes the smallest color no neighbor announced and
+// re-announces it for the rest of the stage. A node still waiting when the
+// budget runs out colors itself greedily against what it knows (Forced).
 type ColorFrag struct {
 	Cfg ColorConfig
 	Out ColorOutcome
@@ -124,8 +129,18 @@ const (
 	treeAwaitD
 )
 
-// TreeFrag is the sim.Frag form of RunTree. Out is valid once Feed returns
-// true. Color, Value and Op are the RunTree arguments.
+// TreeFrag executes the dominator side of the inter-cluster stage,
+// consuming exactly Cfg.SlotBudget slots: it elects a root, builds a
+// BFS-ish tree, convergecasts the cluster values under Op, and floods the
+// result back. Color is the node's cluster color (its TDMA sub-slot) and
+// Value its cluster's aggregate from the intra-cluster phase. Out is valid
+// once Feed returns true.
+//
+// In the convergecast a node sends its current aggregate once all known
+// children have reported; parents keep each child's latest value and
+// re-fold on change, re-opening their own transmission when their
+// aggregate grows, so late or unannounced children are never dropped (the
+// fold must be commutative and associative, which agg.Op requires).
 type TreeFrag struct {
 	Cfg   TreeConfig
 	Color int

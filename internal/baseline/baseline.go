@@ -13,6 +13,8 @@
 package baseline
 
 import (
+	"sort"
+
 	"mcnet/internal/agg"
 	"mcnet/internal/backbone"
 	"mcnet/internal/geo"
@@ -56,8 +58,9 @@ func SingleChannelTree(e *sim.Engine, values []int64, op agg.Op, deltaHint, hopB
 	for i := 0; i < n; i++ {
 		i := i
 		progs[i] = func(ctx *sim.Ctx) {
-			o := backbone.RunTree(ctx, cfg, 0, values[i], op)
-			out[i] = SingleChannelResult{Value: o.Result, Done: o.Done}
+			f := backbone.TreeFrag{Cfg: cfg, Color: 0, Value: values[i], Op: op}
+			ctx.Run(&f)
+			out[i] = SingleChannelResult{Value: f.Out.Result, Done: f.Out.Done}
 		}
 	}
 	if _, err := e.Run(progs); err != nil {
@@ -122,6 +125,43 @@ func TDMAByID(e *sim.Engine, pos []geo.Point, values []int64, op agg.Op) ([]Sing
 		return nil, err
 	}
 	return out, nil
+}
+
+// tdmaSchedule is TDMAByID's centralized round-robin plan: BFS parents plus
+// each node's up- and down-pass slot.
+type tdmaSchedule struct {
+	parent, dist     []int
+	upSlot, downSlot []int
+}
+
+func buildTDMASchedule(pos []geo.Point, radius float64) tdmaSchedule {
+	n := len(pos)
+	g := graph.Build(pos, radius)
+	dist := g.BFS(0)
+	parent := bfsParents(g, dist)
+
+	// Reverse-BFS order for the up pass; BFS order for the down pass.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		da, db := dist[order[a]], dist[order[b]]
+		if da == -1 {
+			da = 1 << 30
+		}
+		if db == -1 {
+			db = 1 << 30
+		}
+		return da > db
+	})
+	upSlot := make([]int, n)
+	downSlot := make([]int, n)
+	for t, node := range order {
+		upSlot[node] = t
+		downSlot[node] = 2*n - 1 - t
+	}
+	return tdmaSchedule{parent: parent, dist: dist, upSlot: upSlot, downSlot: downSlot}
 }
 
 type upMsg struct {

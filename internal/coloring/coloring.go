@@ -104,12 +104,16 @@ func program(pl *core.Plan, cfg Config, i int, res []Result) sim.Program {
 		p := pl.Params
 
 		// Structure construction (Sec. 5).
-		st := pl.BuildStage(ctx)
+		build := core.BuildFrag{Plan: pl}
+		ctx.Run(&build)
+		st := build.St
 		r.ClusterColor = st.Color
 		r.IsDominator = st.IsDominator()
 
 		// Procedure 1: followers send IDs to reporters.
-		got, ackedOn := pl.FollowerStage(ctx, st, int64(ctx.ID()))
+		fol := core.FollowerFrag{Plan: pl, St: st, Value: int64(ctx.ID())}
+		ctx.Run(&fol)
+		got, ackedOn := fol.Got, fol.AckedOn
 		r.IsReporter = st.IsReporter()
 
 		// Sorted follower list: announcement order must be deterministic.
@@ -123,10 +127,13 @@ func program(pl *core.Plan, cfg Config, i int, res []Result) sim.Program {
 		cast := pl.CastConfig(st.Off)
 		var up reporter.CastState
 		subtree := int64(1 + len(followers))
-		if st.Role >= 1 {
-			up = reporter.RunCastUp(ctx, cast, st.Role, st.Dom.Dominator, subtree, agg.Sum)
-		} else if st.Role == 0 {
-			up = reporter.RunCastUp(ctx, cast, 0, st.Dom.Dominator, 0, agg.Sum)
+		if st.Role >= 0 {
+			castUp := reporter.CastUpFrag{Cfg: cast, Role: st.Role, Dom: st.Dom.Dominator, Op: agg.Sum}
+			if st.Role >= 1 {
+				castUp.Value = subtree
+			}
+			ctx.Run(&castUp)
+			up = castUp.St
 		} else {
 			reporter.IdleCast(ctx, cast)
 		}

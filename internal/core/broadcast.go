@@ -74,7 +74,9 @@ func (pl *Plan) broadcastProgram(i int, isSource bool, payload int64, res []Broa
 	return func(ctx *sim.Ctx) {
 		r := &res[i]
 		p := pl.Params
-		st := pl.BuildStage(ctx)
+		build := BuildFrag{Plan: pl}
+		ctx.Run(&build)
+		st := build.St
 		r.IsDominator = st.IsDominator()
 
 		var (
@@ -129,8 +131,9 @@ func (pl *Plan) broadcastProgram(i int, isSource bool, payload int64, res []Broa
 		// Stage B3: dominators announce within clusters (two TDMA blocks
 		// for margin).
 		for pass := 0; pass < 2; pass++ {
-			v2, ok2 := pl.InformStage(ctx, st, value, informed)
-			value, informed = v2, ok2
+			inf := informFrag{pl: pl, st: st, Value: value, Have: informed}
+			ctx.Run(&inf)
+			value, informed = inf.Value, inf.Have
 		}
 		if informed {
 			r.Value, r.Ok = value, true

@@ -4,16 +4,14 @@ import (
 	"mcnet/internal/backbone"
 	"mcnet/internal/csa"
 	"mcnet/internal/dominate"
-	"mcnet/internal/phy"
 	"mcnet/internal/reporter"
 	"mcnet/internal/sim"
 )
 
-// The stage functions in this file are the straight-line sim.Program form of
-// pipeline stages, for the protocols that still run as goroutine programs
-// and reuse the aggregation structure (the Sec. 7 colorer, Broadcast).
-// Aggregation itself runs the Stepper form in stepper.go, which follows the
-// same per-node random stream and slot timeline.
+// This file holds the structure-construction half of the pipeline as one
+// fragment, shared by aggregation (pipelineStepper) and the protocols that
+// reuse the structure from straight-line code through sim.Ctx.Run (the
+// Sec. 7 colorer, Broadcast).
 
 // Structure is a node's place in the aggregation structure after the build
 // stages (Sec. 5): clustering, cluster color, size estimate, and channel
@@ -42,201 +40,174 @@ func (s Structure) IsDominator() bool { return s.Role == 0 }
 // IsReporter reports whether the node is a channel reporter.
 func (s Structure) IsReporter() bool { return s.Role >= 1 }
 
-// BuildStage runs pipeline stages 1–5 (Theorem 10: structure construction)
-// and returns the node's place in the structure. It consumes exactly
-// Offsets.Followers slots.
-func (pl *Plan) BuildStage(ctx *sim.Ctx) Structure {
-	st := Structure{Channel: -1}
+// Build stages, in slot order.
+const (
+	buildDominate uint8 = iota
+	buildColor
+	buildAnnounce
+	buildCSA
+	buildElect
+	buildDone
+)
 
-	// Stage 1: dominating set + clustering.
-	st.Dom = dominate.Run(ctx, pl.Dominate)
+// BuildFrag runs pipeline stages 1–5 (Theorem 10: structure construction)
+// as one fragment: the per-stage fragments in slot order, with the
+// structure bookkeeping (the cluster color and offset, the Lemma 14 CSA
+// chooser, the member's election channel draw) at the stage boundaries.
+// St is the node's place in the structure once Feed returns true. It
+// consumes exactly Offsets.Followers slots.
+type BuildFrag struct {
+	Plan *Plan
+	St   Structure
 
-	// Stage 2: cluster coloring (dominators only).
-	var col backbone.ColorOutcome
-	if st.Dom.IsDominator {
-		col = backbone.RunColor(ctx, pl.Color)
-	} else {
-		backbone.IdleColor(ctx, pl.Color)
-		col.Color = -1
-	}
+	stage    uint8
+	cur      sim.Frag
+	ownColor int
 
-	// Stage 3: color dissemination.
-	st.Color = pl.runAnnounce(ctx, st.Dom, col.Color)
-	st.Off = st.Color % pl.Cfg.PhiMax
-	if st.Off < 0 {
-		st.Off = 0
-	}
+	// Stages every node (or every member — at crowd scale, nearly every
+	// node) passes through live as values inside the fragment, so entering
+	// them costs zero allocations: cur points at the embedded field. The
+	// rare-role fragments (dominators are ~1 per cluster) stay heap
+	// pointers to keep the pipeline's arena element lean.
+	dom     dominate.RunFrag
+	ann     announceFrag
+	csaDee  csa.DominateeFrag
+	csaSDee csa.SmallDominateeFrag
+	elect   reporter.ElectFrag
+	idle    sim.IdleFrag
 
-	// Stage 4: cluster-size approximation under TDMA.
-	st.Est = pl.runCSA(ctx, st.Dom, st.Off)
-
-	// Stage 5: reporter election on f_v channels.
-	st.Fv = pl.fv(st.Est)
-	elect := pl.Elect
-	elect.Offset = st.Off
-	st.Role = -1
-	if st.Dom.IsDominator {
-		reporter.IdleElect(ctx, elect)
-		st.Role = 0
-	} else {
-		st.Channel = ctx.Rand.Intn(st.Fv)
-		if reporter.RunElect(ctx, elect, st.Channel, st.Dom.Dominator) == ctx.ID() {
-			st.Role = st.Channel + 1
-		}
-	}
-	return st
+	col     *backbone.ColorFrag
+	csaDom  *csa.DominatorFrag
+	csaSDom *csa.SmallDominatorFrag
 }
 
-// runAnnounce is stage 3: dominators repeatedly announce their color on
-// channel 0; members learn their cluster's color. Returns the node's color
-// (dominators: their own; members: the learned one, or 0 if missed).
-func (pl *Plan) runAnnounce(ctx *sim.Ctx, dom dominate.Outcome, ownColor int) int {
-	p := pl.Params
-	if dom.IsDominator {
-		for s := 0; s < pl.AnnounceSlots; s++ {
-			if ctx.Rand.Float64() < 0.2 {
-				ctx.Transmit(0, ColorMsg{Dom: ctx.ID(), Color: ownColor})
+// Feed implements sim.Frag: the active stage fragment acts; when it
+// finalizes, the stage glue runs and the next stage starts within the same
+// slot.
+func (b *BuildFrag) Feed(sc *sim.StepCtx) bool {
+	for {
+		if b.cur != nil {
+			if !b.cur.Feed(sc) {
+				return false
+			}
+			b.cur = nil
+			b.leave(sc)
+		}
+		if b.stage == buildDone {
+			return true
+		}
+		b.enter(sc)
+	}
+}
+
+// enterIdle points cur at the embedded idle fragment, reset for a k-slot
+// idle stretch.
+func (b *BuildFrag) enterIdle(k int) {
+	b.idle = sim.IdleFrag{K: k}
+	b.cur = &b.idle
+}
+
+// enter builds the fragment for the current stage.
+func (b *BuildFrag) enter(sc *sim.StepCtx) {
+	pl := b.Plan
+	p := sc.Params()
+	switch b.stage {
+	case buildDominate:
+		b.dom = dominate.RunFrag{Cfg: pl.Dominate}
+		b.cur = &b.dom
+	case buildColor:
+		if b.St.Dom.IsDominator {
+			b.col = &backbone.ColorFrag{Cfg: pl.Color}
+			b.cur = b.col
+		} else {
+			b.enterIdle(pl.Color.SlotBudget(p))
+		}
+	case buildAnnounce:
+		b.ann = announceFrag{pl: pl, dom: b.St.Dom, ownColor: b.ownColor}
+		b.cur = &b.ann
+	case buildCSA:
+		// Stage 4: the Lemma 14 chooser between the two CSA variants.
+		if pl.UseSmall {
+			cfg := pl.CSASmall
+			cfg.Offset = b.St.Off
+			if b.St.Dom.IsDominator {
+				b.csaSDom = &csa.SmallDominatorFrag{Cfg: cfg}
+				b.cur = b.csaSDom
 			} else {
-				ctx.Idle()
+				b.csaSDee = csa.SmallDominateeFrag{Cfg: cfg, Dom: b.St.Dom.Dominator}
+				b.cur = &b.csaSDee
+			}
+		} else {
+			cfg := pl.CSALarge
+			cfg.Offset = b.St.Off
+			if b.St.Dom.IsDominator {
+				b.csaDom = &csa.DominatorFrag{Cfg: cfg, Dom: sc.ID()}
+				b.cur = b.csaDom
+			} else {
+				b.csaDee = csa.DominateeFrag{Cfg: cfg, Dom: b.St.Dom.Dominator}
+				b.cur = &b.csaDee
 			}
 		}
-		return ownColor
-	}
-	color := -1
-	for s := 0; s < pl.AnnounceSlots; s++ {
-		if color >= 0 {
-			ctx.Idle()
-			continue
+	case buildElect:
+		// Stage 5: reporter election on f_v channels.
+		b.St.Fv = pl.fv(b.St.Est)
+		elect := pl.Elect
+		elect.Offset = b.St.Off
+		b.St.Role = -1
+		if b.St.Dom.IsDominator {
+			b.enterIdle(elect.SlotBudget(p))
+		} else {
+			b.St.Channel = sc.Rand.Intn(b.St.Fv)
+			b.elect = reporter.ElectFrag{Cfg: elect, Channel: b.St.Channel, Dom: b.St.Dom.Dominator}
+			b.cur = &b.elect
 		}
-		rec := ctx.Listen(0)
-		if m, ok := rec.Msg.(ColorMsg); ok && m.Dom == dom.Dominator &&
-			phy.SenderWithin(rec, p, p.ClusterRadius()) {
-			color = m.Color
-		}
 	}
-	if color < 0 {
-		color = 0 // degraded: TDMA misalignment possible, but keep going
-	}
-	return color
 }
 
-// runCSA is stage 4: the Lemma 14 chooser between the two CSA variants.
-func (pl *Plan) runCSA(ctx *sim.Ctx, dom dominate.Outcome, off int) int {
-	if pl.UseSmall {
-		cfg := pl.CSASmall
-		cfg.Offset = off
-		if dom.IsDominator {
-			return csa.RunSmallDominator(ctx, cfg)
+// leave consumes the finished stage's result.
+func (b *BuildFrag) leave(sc *sim.StepCtx) {
+	pl := b.Plan
+	switch b.stage {
+	case buildDominate:
+		b.St = Structure{Dom: b.dom.Out, Channel: -1}
+	case buildColor:
+		if b.St.Dom.IsDominator {
+			b.ownColor = b.col.Out.Color
+		} else {
+			b.ownColor = -1
 		}
-		return csa.RunSmallDominatee(ctx, cfg, dom.Dominator)
-	}
-	cfg := pl.CSALarge
-	cfg.Offset = off
-	if dom.IsDominator {
-		return csa.RunDominator(ctx, cfg, ctx.ID()) + 1 // members + self
-	}
-	est := csa.RunDominatee(ctx, cfg, dom.Dominator)
-	if est > 0 {
-		est++
-	}
-	return est
-}
-
-// FollowerStage runs pipeline stage 6 (Sec. 6, first procedure): followers
-// deliver their values to reporters under backoff-controlled contention.
-// For reporters it returns the map of collected follower values keyed by
-// follower ID; for followers, ackedOn is the channel whose reporter
-// acknowledged the value (-1 if never acknowledged) — that reporter owns
-// the follower in the Sec. 7 coloring. It consumes exactly
-// Offsets.Tree − Offsets.Followers slots.
-func (pl *Plan) FollowerStage(ctx *sim.Ctx, st Structure, value int64) (got map[int]int64, ackedOn int) {
-	var (
-		p        = pl.Params
-		stride   = pl.Cfg.PhiMax
-		isRep    = st.IsReporter()
-		repChan  = st.Role - 1
-		isDom    = st.IsDominator()
-		follower = !isRep && !isDom
-		acked    = false
-		pu       = pl.Cfg.Lambda * float64(st.Fv) / float64(max2(st.Est, 1))
-		memberR  = pl.ClusterRadius()
-		off      = st.Off
-	)
-	ackedOn = -1
-	if pu > 0.5 {
-		pu = 0.5
-	}
-	if isRep {
-		got = map[int]int64{}
-	}
-	for phase := 0; phase < pl.FollowerPhases; phase++ {
-		count := 0
-		heardBackoff := false
-		for round := 0; round < pl.FollowerGamma; round++ {
-			ctx.IdleFor(2 * off)
-			sentOn, ackTo := -1, -1
-			// Sub-slot 1: follower transmissions.
-			switch {
-			case follower && !acked && ctx.Rand.Float64() < pu:
-				sentOn = ctx.Rand.Intn(st.Fv)
-				ctx.Transmit(sentOn, FollowerMsg{From: ctx.ID(), Dom: st.Dom.Dominator, Value: value})
-			case isRep:
-				rec := ctx.Listen(repChan)
-				if m, ok := rec.Msg.(FollowerMsg); ok && m.Dom == st.Dom.Dominator &&
-					phy.SenderWithin(rec, p, memberR) {
-					got[m.From] = m.Value
-					ackTo = m.From
-				}
-			case isDom:
-				rec := ctx.Listen(0)
-				if m, ok := rec.Msg.(FollowerMsg); ok && m.Dom == ctx.ID() &&
-					phy.SenderWithin(rec, p, memberR) {
-					count++
-				}
-			default:
-				ctx.Idle()
-			}
-			// Sub-slot 2: acknowledgements.
-			switch {
-			case isRep && ackTo >= 0:
-				ctx.Transmit(repChan, FollowerAck{To: ackTo, Dom: st.Dom.Dominator})
-			case follower && sentOn >= 0:
-				rec := ctx.Listen(sentOn)
-				if a, ok := rec.Msg.(FollowerAck); ok && a.To == ctx.ID() &&
-					a.Dom == st.Dom.Dominator {
-					acked = true
-					ackedOn = sentOn
-					ctx.Emit(EventAcked, phase)
-				}
-			default:
-				ctx.Idle()
-			}
-			ctx.IdleFor(2 * (stride - 1 - off))
+		b.col = nil
+	case buildAnnounce:
+		b.St.Color = b.ann.Color
+		b.St.Off = b.St.Color % pl.Cfg.PhiMax
+		if b.St.Off < 0 {
+			b.St.Off = 0
 		}
-		// Backoff round (two sub-slots to keep the stride uniform).
-		ctx.IdleFor(2 * off)
+	case buildCSA:
 		switch {
-		case isDom && count >= pl.Omega && !pl.Cfg.DisableBackoff:
-			ctx.Transmit(0, Backoff{Dom: ctx.ID()})
-		case follower && !acked:
-			rec := ctx.Listen(0)
-			if b, ok := rec.Msg.(Backoff); ok && b.Dom == st.Dom.Dominator &&
-				phy.SenderWithin(rec, p, memberR) {
-				heardBackoff = true
-			}
+		case pl.UseSmall && b.St.Dom.IsDominator:
+			b.St.Est = b.csaSDom.Estimate
+		case pl.UseSmall:
+			b.St.Est = b.csaSDee.Estimate
+		case b.St.Dom.IsDominator:
+			b.St.Est = b.csaDom.Estimate + 1 // members + self
 		default:
-			ctx.Idle()
-		}
-		ctx.Idle()
-		ctx.IdleFor(2 * (stride - 1 - off))
-		if follower && !acked && !heardBackoff {
-			pu *= 2
-			if pu > 0.5 {
-				pu = 0.5
+			est := b.csaDee.Estimate
+			if est > 0 {
+				est++
 			}
+			b.St.Est = est
+		}
+		b.csaDom, b.csaSDom = nil, nil
+		b.csaSDee = csa.SmallDominateeFrag{} // drops its internal sub-fragments
+	case buildElect:
+		if b.St.Dom.IsDominator {
+			b.St.Role = 0
+		} else if b.elect.Min == sc.ID() {
+			b.St.Role = b.St.Channel + 1
 		}
 	}
-	return got, ackedOn
+	b.stage++
 }
 
 // CastConfig returns the reporter-tree cast configuration for the node's
@@ -245,27 +216,4 @@ func (pl *Plan) CastConfig(off int) reporter.CastConfig {
 	cast := reporter.DefaultCastConfig(pl.Params.Channels, pl.ClusterRadius())
 	cast.Stride, cast.Offset = pl.Cfg.PhiMax, off
 	return cast
-}
-
-// InformStage runs pipeline stage 9: dominators announce value within their
-// clusters; members listen. Returns the (value, ok) the node ends with. It
-// consumes exactly PhiMax slots.
-func (pl *Plan) InformStage(ctx *sim.Ctx, st Structure, value int64, haveValue bool) (int64, bool) {
-	p := pl.Params
-	stride := pl.Cfg.PhiMax
-	for sub := 0; sub < stride; sub++ {
-		switch {
-		case st.IsDominator() && sub == st.Off && haveValue:
-			ctx.Transmit(0, FinalMsg{Dom: ctx.ID(), Value: value})
-		case !st.IsDominator() && !haveValue:
-			rec := ctx.Listen(0)
-			if m, ok := rec.Msg.(FinalMsg); ok && m.Dom == st.Dom.Dominator &&
-				phy.SenderWithin(rec, p, p.ClusterRadius()) {
-				value, haveValue = m.Value, true
-			}
-		default:
-			ctx.Idle()
-		}
-	}
-	return value, haveValue
 }

@@ -34,7 +34,11 @@ func buildStructures(t *testing.T, n int, channels int, seed uint64) ([]Structur
 	progs := make([]sim.Program, n)
 	for i := range progs {
 		i := i
-		progs[i] = func(ctx *sim.Ctx) { sts[i] = pl.BuildStage(ctx) }
+		progs[i] = func(ctx *sim.Ctx) {
+			b := BuildFrag{Plan: pl}
+			ctx.Run(&b)
+			sts[i] = b.St
+		}
 	}
 	if _, err := e.Run(progs); err != nil {
 		t.Fatal(err)
@@ -114,7 +118,7 @@ func TestBuildStageBudget(t *testing.T) {
 	for i := range progs {
 		i := i
 		progs[i] = func(ctx *sim.Ctx) {
-			pl.BuildStage(ctx)
+			ctx.Run(&BuildFrag{Plan: pl})
 			after[i] = ctx.Slot()
 		}
 	}
@@ -129,7 +133,7 @@ func TestBuildStageBudget(t *testing.T) {
 }
 
 func TestInformStageDelivers(t *testing.T) {
-	// Directly exercise InformStage: a dominator with a value, members
+	// Directly exercise the inform stage: a dominator with a value, members
 	// without; after one TDMA block all members have it.
 	const n = 10
 	p := model.Default(1, 64)
@@ -156,8 +160,9 @@ func TestInformStageDelivers(t *testing.T) {
 			} else {
 				st.Role = -1
 			}
-			v, ok := pl.InformStage(ctx, st, 777, i == 0)
-			got[i], oks[i] = v, ok
+			inf := informFrag{pl: pl, st: st, Value: 777, Have: i == 0}
+			ctx.Run(&inf)
+			got[i], oks[i] = inf.Value, inf.Have
 		}
 	}
 	if _, err := e.Run(progs); err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"mcnet/internal/agg"
 	"mcnet/internal/backbone"
-	"mcnet/internal/csa"
 	"mcnet/internal/dominate"
 	"mcnet/internal/phy"
 	"mcnet/internal/reporter"
@@ -11,18 +10,15 @@ import (
 )
 
 // This file is the pipeline in the engine's Stepper form (see internal/sim:
-// Stepper, Frag). pipelineStepper chains the per-stage fragments; the
-// stage-glue code (structure bookkeeping, the elect channel draw, the
-// cast-value fold) runs at the fragment boundaries. Recorded digests in
-// testdata/golden_aggregate.json pin the transcripts.
+// Stepper, Frag). pipelineStepper chains the structure build (BuildFrag)
+// and the per-stage fragments of the aggregation half; the stage-glue code
+// (result bookkeeping, the cast-value fold) runs at the fragment
+// boundaries. Recorded digests in testdata/golden_aggregate.json pin the
+// transcripts.
 
 // Pipeline stages, in slot order.
 const (
-	stDominate uint8 = iota
-	stColor
-	stAnnounce
-	stCSA
-	stElect
+	stBuild uint8 = iota
 	stFollower
 	stCast
 	stTree
@@ -43,27 +39,16 @@ type pipelineStepper struct {
 	st    Structure
 	cur   sim.Frag
 
-	// Stages every node (or every member — at crowd scale, nearly every
-	// node) passes through live as values inside the stepper, so entering
-	// them costs zero allocations: cur points at the embedded field. The
-	// rare-role fragments (dominators are ~1 per cluster) stay heap
-	// pointers to keep the arena element lean.
-	dom     dominate.RunFrag
-	ann     announceFrag
-	csaDee  csa.DominateeFrag
-	csaSDee csa.SmallDominateeFrag
-	elect   reporter.ElectFrag
-	fol     followerFrag
-	inf     informFrag
-	idle    sim.IdleFrag
+	// As in BuildFrag, the stages every node passes through are embedded
+	// values and the dominator-only ones heap pointers.
+	build BuildFrag
+	fol   FollowerFrag
+	inf   informFrag
+	idle  sim.IdleFrag
 
-	col     *backbone.ColorFrag
-	csaDom  *csa.DominatorFrag
-	csaSDom *csa.SmallDominatorFrag
-	cast    *reporter.CastUpFrag
-	tree    *backbone.TreeFrag
+	cast *reporter.CastUpFrag
+	tree *backbone.TreeFrag
 
-	ownColor   int
 	clusterAgg int64
 }
 
@@ -81,7 +66,7 @@ func (ps *pipelineStepper) Step(sc *sim.StepCtx) {
 			sc.Done()
 			return
 		}
-		ps.enter(sc)
+		ps.enter()
 	}
 }
 
@@ -93,60 +78,15 @@ func (ps *pipelineStepper) enterIdle(k int) {
 }
 
 // enter builds the fragment for the current stage, running its pre-stage
-// glue (the member's elect channel draw, the reporter's cast-value fold).
-func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
+// glue (the reporter's cast-value fold).
+func (ps *pipelineStepper) enter() {
 	pl := ps.pl
-	p := sc.Params()
 	switch ps.stage {
-	case stDominate:
-		ps.dom = dominate.RunFrag{Cfg: pl.Dominate}
-		ps.cur = &ps.dom
-	case stColor:
-		if ps.st.Dom.IsDominator {
-			ps.col = &backbone.ColorFrag{Cfg: pl.Color}
-			ps.cur = ps.col
-		} else {
-			ps.enterIdle(pl.Color.SlotBudget(p))
-		}
-	case stAnnounce:
-		ps.ann = announceFrag{pl: pl, dom: ps.st.Dom, ownColor: ps.ownColor}
-		ps.cur = &ps.ann
-	case stCSA:
-		if pl.UseSmall {
-			cfg := pl.CSASmall
-			cfg.Offset = ps.st.Off
-			if ps.st.Dom.IsDominator {
-				ps.csaSDom = &csa.SmallDominatorFrag{Cfg: cfg}
-				ps.cur = ps.csaSDom
-			} else {
-				ps.csaSDee = csa.SmallDominateeFrag{Cfg: cfg, Dom: ps.st.Dom.Dominator}
-				ps.cur = &ps.csaSDee
-			}
-		} else {
-			cfg := pl.CSALarge
-			cfg.Offset = ps.st.Off
-			if ps.st.Dom.IsDominator {
-				ps.csaDom = &csa.DominatorFrag{Cfg: cfg, Dom: sc.ID()}
-				ps.cur = ps.csaDom
-			} else {
-				ps.csaDee = csa.DominateeFrag{Cfg: cfg, Dom: ps.st.Dom.Dominator}
-				ps.cur = &ps.csaDee
-			}
-		}
-	case stElect:
-		ps.st.Fv = pl.fv(ps.st.Est)
-		elect := pl.Elect
-		elect.Offset = ps.st.Off
-		ps.st.Role = -1
-		if ps.st.Dom.IsDominator {
-			ps.enterIdle(elect.SlotBudget(p))
-		} else {
-			ps.st.Channel = sc.Rand.Intn(ps.st.Fv)
-			ps.elect = reporter.ElectFrag{Cfg: elect, Channel: ps.st.Channel, Dom: ps.st.Dom.Dominator}
-			ps.cur = &ps.elect
-		}
+	case stBuild:
+		ps.build = BuildFrag{Plan: pl}
+		ps.cur = &ps.build
 	case stFollower:
-		ps.fol = followerFrag{pl: pl, st: ps.st, value: ps.value}
+		ps.fol = FollowerFrag{Plan: pl, St: ps.st, Value: ps.value}
 		ps.cur = &ps.fol
 	case stCast:
 		cast := pl.CastConfig(ps.st.Off)
@@ -181,51 +121,9 @@ func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
 
 // leave consumes the finished stage's result, including the stage's Emits.
 func (ps *pipelineStepper) leave(sc *sim.StepCtx) {
-	pl := ps.pl
 	switch ps.stage {
-	case stDominate:
-		ps.st = Structure{Channel: -1}
-		ps.st.Dom = ps.dom.Out
-		ps.stage = stColor
-	case stColor:
-		if ps.st.Dom.IsDominator {
-			ps.ownColor = ps.col.Out.Color
-		} else {
-			ps.ownColor = -1
-		}
-		ps.col = nil
-		ps.stage = stAnnounce
-	case stAnnounce:
-		ps.st.Color = ps.ann.Color
-		ps.st.Off = ps.st.Color % pl.Cfg.PhiMax
-		if ps.st.Off < 0 {
-			ps.st.Off = 0
-		}
-		ps.stage = stCSA
-	case stCSA:
-		switch {
-		case pl.UseSmall && ps.st.Dom.IsDominator:
-			ps.st.Est = ps.csaSDom.Estimate
-		case pl.UseSmall:
-			ps.st.Est = ps.csaSDee.Estimate
-		case ps.st.Dom.IsDominator:
-			ps.st.Est = ps.csaDom.Estimate + 1 // members + self
-		default:
-			est := ps.csaDee.Estimate
-			if est > 0 {
-				est++
-			}
-			ps.st.Est = est
-		}
-		ps.csaDom, ps.csaSDom = nil, nil
-		ps.csaSDee = csa.SmallDominateeFrag{} // drops its internal sub-fragments
-		ps.stage = stElect
-	case stElect:
-		if ps.st.Dom.IsDominator {
-			ps.st.Role = 0
-		} else if ps.elect.Min == sc.ID() {
-			ps.st.Role = ps.st.Channel + 1
-		}
+	case stBuild:
+		ps.st = ps.build.St
 		r := &ps.res[sc.ID()]
 		r.IsDominator = ps.st.IsDominator()
 		r.Dominator = ps.st.Dom.Dominator
@@ -233,19 +131,13 @@ func (ps *pipelineStepper) leave(sc *sim.StepCtx) {
 		r.SizeEst = ps.st.Est
 		r.Channel = ps.st.Channel
 		r.IsReporter = ps.st.IsReporter()
-		ps.stage = stFollower
-	case stFollower:
-		ps.stage = stCast
 	case stCast:
 		if ps.st.Role == 0 {
 			ps.clusterAgg = ps.cast.St.Value
 			sc.Emit(EventClusterAgg, 0)
 		}
-		ps.fol = followerFrag{} // drops the reporter's Got map
+		ps.fol = FollowerFrag{} // drops the reporter's Got map
 		ps.cast = nil
-		ps.stage = stTree
-	case stTree:
-		ps.stage = stInform
 	case stInform:
 		if ps.inf.Have {
 			r := &ps.res[sc.ID()]
@@ -253,12 +145,14 @@ func (ps *pipelineStepper) leave(sc *sim.StepCtx) {
 			sc.Emit(EventInformed, 0)
 		}
 		ps.tree = nil
-		ps.stage = stDone
 	}
+	ps.stage++
 }
 
-// announceFrag is the sim.Frag form of runAnnounce. Color is valid once
-// Feed returns true.
+// announceFrag is stage 3, color dissemination: dominators repeatedly
+// announce their color on channel 0 and members learn their cluster's
+// color. Color — the dominator's own, the learned one, or 0 if a member
+// missed it — is valid once Feed returns true.
 type announceFrag struct {
 	pl       *Plan
 	dom      dominate.Outcome
@@ -327,12 +221,17 @@ const (
 	folAwaitBackoff
 )
 
-// followerFrag is the sim.Frag form of FollowerStage. Got and AckedOn are
-// valid once Feed returns true.
-type followerFrag struct {
-	pl    *Plan
-	st    Structure
-	value int64
+// FollowerFrag runs pipeline stage 6 (Sec. 6, first procedure) for a node
+// at St in the structure: followers deliver Value to reporters under
+// backoff-controlled contention. Once Feed returns true, a reporter's Got
+// maps follower IDs to their collected values, and a follower's AckedOn is
+// the channel whose reporter acknowledged its value (-1 if none did) — that
+// reporter owns the follower in the Sec. 7 coloring. It consumes exactly
+// Offsets.Tree − Offsets.Followers slots.
+type FollowerFrag struct {
+	Plan  *Plan
+	St    Structure
+	Value int64
 
 	Got     map[int]int64
 	AckedOn int
@@ -353,22 +252,22 @@ type followerFrag struct {
 }
 
 // Feed implements sim.Frag.
-func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
-	pl := f.pl
+func (f *FollowerFrag) Feed(sc *sim.StepCtx) bool {
+	pl := f.Plan
 	p := pl.Params
 	if !f.init {
 		f.init = true
 		f.stride = pl.Cfg.PhiMax
-		f.isRep = f.st.IsReporter()
-		f.repChan = f.st.Role - 1
-		f.isDom = f.st.IsDominator()
+		f.isRep = f.St.IsReporter()
+		f.repChan = f.St.Role - 1
+		f.isDom = f.St.IsDominator()
 		f.follower = !f.isRep && !f.isDom
-		f.pu = pl.Cfg.Lambda * float64(f.st.Fv) / float64(max2(f.st.Est, 1))
+		f.pu = pl.Cfg.Lambda * float64(f.St.Fv) / float64(max2(f.St.Est, 1))
 		if f.pu > 0.5 {
 			f.pu = 0.5
 		}
 		f.memberR = pl.ClusterRadius()
-		f.off = f.st.Off
+		f.off = f.St.Off
 		f.AckedOn = -1
 		f.sentOn, f.ackTo = -1, -1
 		if f.isRep {
@@ -378,7 +277,7 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 	switch f.await {
 	case folAwaitRep:
 		rec := sc.Prev()
-		if m, ok := rec.Msg.(FollowerMsg); ok && m.Dom == f.st.Dom.Dominator &&
+		if m, ok := rec.Msg.(FollowerMsg); ok && m.Dom == f.St.Dom.Dominator &&
 			phy.SenderWithin(rec, p, f.memberR) {
 			f.Got[m.From] = m.Value
 			f.ackTo = m.From
@@ -392,14 +291,14 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 	case folAwaitAck:
 		rec := sc.Prev()
 		if a, ok := rec.Msg.(FollowerAck); ok && a.To == sc.ID() &&
-			a.Dom == f.st.Dom.Dominator {
+			a.Dom == f.St.Dom.Dominator {
 			f.acked = true
 			f.AckedOn = f.sentOn
 			sc.Emit(EventAcked, f.phase)
 		}
 	case folAwaitBackoff:
 		rec := sc.Prev()
-		if b, ok := rec.Msg.(Backoff); ok && b.Dom == f.st.Dom.Dominator &&
+		if b, ok := rec.Msg.(Backoff); ok && b.Dom == f.St.Dom.Dominator &&
 			phy.SenderWithin(rec, p, f.memberR) {
 			f.heardBackoff = true
 		}
@@ -425,8 +324,8 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 			f.sentOn, f.ackTo = -1, -1
 			switch {
 			case f.follower && !f.acked && sc.Rand.Float64() < f.pu:
-				f.sentOn = sc.Rand.Intn(f.st.Fv)
-				sc.Transmit(f.sentOn, FollowerMsg{From: sc.ID(), Dom: f.st.Dom.Dominator, Value: f.value})
+				f.sentOn = sc.Rand.Intn(f.St.Fv)
+				sc.Transmit(f.sentOn, FollowerMsg{From: sc.ID(), Dom: f.St.Dom.Dominator, Value: f.Value})
 			case f.isRep:
 				sc.Listen(f.repChan)
 				f.await = folAwaitRep
@@ -441,7 +340,7 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 			f.pos = 3
 			switch {
 			case f.isRep && f.ackTo >= 0:
-				sc.Transmit(f.repChan, FollowerAck{To: f.ackTo, Dom: f.st.Dom.Dominator})
+				sc.Transmit(f.repChan, FollowerAck{To: f.ackTo, Dom: f.St.Dom.Dominator})
 			case f.follower && f.sentOn >= 0:
 				sc.Listen(f.sentOn)
 				f.await = folAwaitAck
@@ -498,8 +397,9 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 	}
 }
 
-// informFrag is the sim.Frag form of InformStage. Value and Have are the
-// stage's in/out value pair.
+// informFrag is pipeline stage 9: dominators announce Value within their
+// clusters while members without a value listen. Value and Have are the
+// stage's in/out value pair; it consumes exactly PhiMax slots.
 type informFrag struct {
 	pl *Plan
 	st Structure

@@ -11,7 +11,7 @@
 //     O(log Δ̂ · log n).
 //
 //   - The small-Δ̂ variant (Appendix A) spreads dominatees uniformly over
-//     the F channels, elects a per-channel leader (reporter.RunElect), runs
+//     the F channels, elects a per-channel leader (reporter.ElectFrag), runs
 //     the probing estimator per channel with the small per-channel bound,
 //     aggregates the per-channel estimates to the dominator over the
 //     reporter tree, and broadcasts the total. Runtime O(log n · log log n)
@@ -23,9 +23,7 @@ package csa
 import (
 	"math"
 
-	"mcnet/internal/agg"
 	"mcnet/internal/model"
-	"mcnet/internal/phy"
 	"mcnet/internal/reporter"
 	"mcnet/internal/sim"
 )
@@ -117,84 +115,6 @@ func (c Config) threshold(p model.Params) int {
 	return t
 }
 
-// RunDominator executes the counting side for cluster head dom (usually the
-// caller itself; channel leaders in the small-Δ̂ variant pass their own ID).
-// It returns the estimate of the number of PROBING members (excluding the
-// head itself), ≥ 1·constant-factor accurate w.h.p., or 0 if the cluster
-// appears empty. It consumes exactly cfg.SlotBudget slots.
-func RunDominator(ctx *sim.Ctx, cfg Config, dom int) int {
-	var (
-		p          = ctx.Params()
-		stride     = cfg.stride()
-		rounds     = cfg.RoundsPerPhase(p)
-		thresh     = cfg.threshold(p)
-		estimate   = 0
-		terminated = false
-	)
-	for phase := 0; phase < cfg.Phases(); phase++ {
-		count := 0
-		for r := 0; r < rounds; r++ {
-			ctx.IdleFor(cfg.Offset)
-			rec := ctx.Listen(cfg.Channel)
-			if m, ok := rec.Msg.(Probe); ok && m.Dom == dom &&
-				phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-				count++
-			}
-			ctx.IdleFor(stride - 1 - cfg.Offset)
-		}
-		// Notification round.
-		ctx.IdleFor(cfg.Offset)
-		if !terminated && count >= thresh {
-			terminated = true
-			estimate = cfg.DeltaHat >> phase
-			if estimate < 1 {
-				estimate = 1
-			}
-		}
-		if terminated {
-			ctx.Transmit(cfg.Channel, Estimate{Dom: dom, Est: estimate})
-		} else {
-			ctx.Idle()
-		}
-		ctx.IdleFor(stride - 1 - cfg.Offset)
-	}
-	return estimate
-}
-
-// RunDominatee executes the probing side for a member of cluster dom. It
-// returns the estimate learned from the head's notification (0 if none
-// arrived). It consumes exactly cfg.SlotBudget slots.
-func RunDominatee(ctx *sim.Ctx, cfg Config, dom int) int {
-	var (
-		p        = ctx.Params()
-		stride   = cfg.stride()
-		rounds   = cfg.RoundsPerPhase(p)
-		prob     = cfg.Lambda / float64(cfg.DeltaHat)
-		estimate = 0
-	)
-	for phase := 0; phase < cfg.Phases(); phase++ {
-		for r := 0; r < rounds; r++ {
-			ctx.IdleFor(cfg.Offset)
-			if estimate == 0 && ctx.Rand.Float64() < prob {
-				ctx.Transmit(cfg.Channel, Probe{From: ctx.ID(), Dom: dom})
-			} else {
-				ctx.Idle()
-			}
-			ctx.IdleFor(stride - 1 - cfg.Offset)
-		}
-		// Notification round.
-		ctx.IdleFor(cfg.Offset)
-		rec := ctx.Listen(cfg.Channel)
-		if m, ok := rec.Msg.(Estimate); ok && m.Dom == dom &&
-			phy.SenderWithin(rec, p, cfg.ClusterRadius) && estimate == 0 {
-			estimate = m.Est
-		}
-		ctx.IdleFor(stride - 1 - cfg.Offset)
-		prob = math.Min(prob*2, cfg.Lambda)
-	}
-	return estimate
-}
-
 // SmallConfig parameterizes the Appendix A multichannel estimator.
 type SmallConfig struct {
 	// F is the number of channels to spread members over.
@@ -250,72 +170,6 @@ func (c SmallConfig) SlotBudget(p model.Params) int {
 // IdleSmall consumes the small-variant budget without participating.
 func IdleSmall(ctx *sim.Ctx, cfg SmallConfig) {
 	ctx.IdleFor(cfg.SlotBudget(ctx.Params()))
-}
-
-// RunSmallDominator executes the dominator side of the Appendix A variant
-// and returns the cluster-size estimate (counting members and the dominator
-// itself). It consumes exactly cfg.SlotBudget slots.
-func RunSmallDominator(ctx *sim.Ctx, cfg SmallConfig) int {
-	var (
-		elect = cfg.Elect
-		probe = cfg.Probe
-		cast  = reporter.DefaultCastConfig(cfg.F, cfg.ClusterRadius)
-	)
-	elect.Stride, elect.Offset = cfg.stride(), cfg.Offset
-	probe.Stride, probe.Offset = cfg.stride(), cfg.Offset
-	cast.Stride, cast.Offset = cfg.stride(), cfg.Offset
-
-	// The dominator sits out election and probing.
-	reporter.IdleElect(ctx, elect)
-	Idle(ctx, probe)
-	st := reporter.RunCastUp(ctx, cast, 0, ctx.ID(), 0, agg.Sum)
-	est := int(st.Value) + 1 // members + self
-
-	// Broadcast round.
-	ctx.IdleFor(cfg.Offset)
-	ctx.Transmit(0, Estimate{Dom: ctx.ID(), Est: est})
-	ctx.IdleFor(cfg.stride() - 1 - cfg.Offset)
-	return est
-}
-
-// RunSmallDominatee executes the member side: pick a channel, elect a
-// leader, estimate per channel, aggregate, and learn the total from the
-// dominator's broadcast. It returns the learned estimate (0 if the
-// broadcast was missed). It consumes exactly cfg.SlotBudget slots.
-func RunSmallDominatee(ctx *sim.Ctx, cfg SmallConfig, dom int) int {
-	var (
-		p     = ctx.Params()
-		elect = cfg.Elect
-		probe = cfg.Probe
-		cast  = reporter.DefaultCastConfig(cfg.F, cfg.ClusterRadius)
-	)
-	elect.Stride, elect.Offset = cfg.stride(), cfg.Offset
-	probe.Stride, probe.Offset = cfg.stride(), cfg.Offset
-	cast.Stride, cast.Offset = cfg.stride(), cfg.Offset
-
-	channel := ctx.Rand.Intn(cfg.F)
-	probe.Channel = channel
-
-	leader := reporter.RunElect(ctx, elect, channel, dom)
-	var channelCount int64
-	if leader == ctx.ID() {
-		channelCount = int64(RunDominator(ctx, probe, ctx.ID())) + 1 // + leader
-		reporter.RunCastUp(ctx, cast, channel+1, dom, channelCount, agg.Sum)
-	} else {
-		RunDominatee(ctx, probe, leader)
-		reporter.IdleCast(ctx, cast)
-	}
-
-	// Broadcast round: listen on channel 0.
-	ctx.IdleFor(cfg.Offset)
-	est := 0
-	rec := ctx.Listen(0)
-	if m, ok := rec.Msg.(Estimate); ok && m.Dom == dom &&
-		phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-		est = m.Est
-	}
-	ctx.IdleFor(cfg.stride() - 1 - cfg.Offset)
-	return est
 }
 
 // UseSmall implements the Lemma 14 chooser: the small variant applies when

@@ -24,6 +24,36 @@ func clusterPos(size int, radius float64, seed int64) []geo.Point {
 	return pos
 }
 
+// dominatorStage drives DominatorFrag from a Program and returns its
+// estimate.
+func dominatorStage(ctx *sim.Ctx, cfg Config, dom int) int {
+	f := DominatorFrag{Cfg: cfg, Dom: dom}
+	ctx.Run(&f)
+	return f.Estimate
+}
+
+// dominateeStage drives DominateeFrag from a Program and returns the
+// learned estimate.
+func dominateeStage(ctx *sim.Ctx, cfg Config, dom int) int {
+	f := DominateeFrag{Cfg: cfg, Dom: dom}
+	ctx.Run(&f)
+	return f.Estimate
+}
+
+// smallDominatorStage drives SmallDominatorFrag from a Program.
+func smallDominatorStage(ctx *sim.Ctx, cfg SmallConfig) int {
+	f := SmallDominatorFrag{Cfg: cfg}
+	ctx.Run(&f)
+	return f.Estimate
+}
+
+// smallDominateeStage drives SmallDominateeFrag from a Program.
+func smallDominateeStage(ctx *sim.Ctx, cfg SmallConfig, dom int) int {
+	f := SmallDominateeFrag{Cfg: cfg, Dom: dom}
+	ctx.Run(&f)
+	return f.Estimate
+}
+
 // runLarge executes the large-Δ̂ estimator on a single cluster with node 0
 // as dominator; returns the dominator's estimate and the members' learned
 // estimates.
@@ -35,10 +65,10 @@ func runLarge(t *testing.T, size int, cfg Config, channels int, seed uint64) (in
 	var domEst int
 	memberEst := make([]int, size)
 	progs := make([]sim.Program, size)
-	progs[0] = func(ctx *sim.Ctx) { domEst = RunDominator(ctx, cfg, 0) }
+	progs[0] = func(ctx *sim.Ctx) { domEst = dominatorStage(ctx, cfg, 0) }
 	for i := 1; i < size; i++ {
 		i := i
-		progs[i] = func(ctx *sim.Ctx) { memberEst[i] = RunDominatee(ctx, cfg, 0) }
+		progs[i] = func(ctx *sim.Ctx) { memberEst[i] = dominateeStage(ctx, cfg, 0) }
 	}
 	if _, err := e.Run(progs); err != nil {
 		t.Fatal(err)
@@ -81,8 +111,8 @@ func TestLargeSlotBudget(t *testing.T) {
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
 	after := make([]int, 3)
 	progs := []sim.Program{
-		func(ctx *sim.Ctx) { RunDominator(ctx, cfg, 0); after[0] = ctx.Slot() },
-		func(ctx *sim.Ctx) { RunDominatee(ctx, cfg, 0); after[1] = ctx.Slot() },
+		func(ctx *sim.Ctx) { dominatorStage(ctx, cfg, 0); after[0] = ctx.Slot() },
+		func(ctx *sim.Ctx) { dominateeStage(ctx, cfg, 0); after[1] = ctx.Slot() },
 		func(ctx *sim.Ctx) { Idle(ctx, cfg); after[2] = ctx.Slot() },
 	}
 	if _, err := e.Run(progs); err != nil {
@@ -117,10 +147,10 @@ func TestSmallEstimateAccuracy(t *testing.T) {
 		var domEst int
 		memberEst := make([]int, size)
 		progs := make([]sim.Program, size)
-		progs[0] = func(ctx *sim.Ctx) { domEst = RunSmallDominator(ctx, cfg) }
+		progs[0] = func(ctx *sim.Ctx) { domEst = smallDominatorStage(ctx, cfg) }
 		for i := 1; i < size; i++ {
 			i := i
-			progs[i] = func(ctx *sim.Ctx) { memberEst[i] = RunSmallDominatee(ctx, cfg, 0) }
+			progs[i] = func(ctx *sim.Ctx) { memberEst[i] = smallDominateeStage(ctx, cfg, 0) }
 		}
 		if _, err := e.Run(progs); err != nil {
 			t.Fatal(err)
@@ -150,9 +180,9 @@ func TestSmallSlotBudget(t *testing.T) {
 	e := sim.NewEngine(phy.NewField(p, pos), 5)
 	after := make([]int, 4)
 	progs := []sim.Program{
-		func(ctx *sim.Ctx) { RunSmallDominator(ctx, cfg); after[0] = ctx.Slot() },
-		func(ctx *sim.Ctx) { RunSmallDominatee(ctx, cfg, 0); after[1] = ctx.Slot() },
-		func(ctx *sim.Ctx) { RunSmallDominatee(ctx, cfg, 0); after[2] = ctx.Slot() },
+		func(ctx *sim.Ctx) { smallDominatorStage(ctx, cfg); after[0] = ctx.Slot() },
+		func(ctx *sim.Ctx) { smallDominateeStage(ctx, cfg, 0); after[1] = ctx.Slot() },
+		func(ctx *sim.Ctx) { smallDominateeStage(ctx, cfg, 0); after[2] = ctx.Slot() },
 		func(ctx *sim.Ctx) { IdleSmall(ctx, cfg); after[3] = ctx.Slot() },
 	}
 	if _, err := e.Run(progs); err != nil {
@@ -195,9 +225,9 @@ func TestTwoClustersInterleaved(t *testing.T) {
 		cfg := DefaultConfig(256, 0.14)
 		cfg.Stride, cfg.Offset = 2, c
 		dom := c * size
-		progs[dom] = func(ctx *sim.Ctx) { ests[c] = RunDominator(ctx, cfg, dom) }
+		progs[dom] = func(ctx *sim.Ctx) { ests[c] = dominatorStage(ctx, cfg, dom) }
 		for i := 1; i < size; i++ {
-			progs[dom+i] = func(ctx *sim.Ctx) { RunDominatee(ctx, cfg, dom) }
+			progs[dom+i] = func(ctx *sim.Ctx) { dominateeStage(ctx, cfg, dom) }
 		}
 	}
 	if _, err := e.Run(progs); err != nil {

@@ -1,10 +1,7 @@
 package csa
 
-// Stepper-form ports of the cluster-size estimators (see internal/sim:
-// Stepper, Frag). Each fragment mirrors its goroutine original's control
-// flow — the order and conditions of ctx.Rand draws and the placement of
-// post-Listen consumption code — so the two forms produce bit-identical
-// transcripts.
+// The cluster-size estimators as sim.Frags (see internal/sim: Stepper,
+// Frag): each round loop's state is held explicitly, one slot per Feed.
 
 import (
 	"math"
@@ -15,8 +12,15 @@ import (
 	"mcnet/internal/sim"
 )
 
-// DominatorFrag is the sim.Frag form of RunDominator for cluster head Dom.
-// Estimate is valid once Feed returns true (0 if the cluster appears empty).
+// DominatorFrag executes the counting side of the estimator for cluster
+// head Dom (usually the node itself; channel leaders in the small-Δ̂
+// variant pass their own ID), consuming exactly Cfg.SlotBudget slots. Per
+// phase it counts the probes heard in the probe rounds; the first phase
+// whose count reaches the threshold fixes the estimate Δ̂/2^phase, which
+// it then announces in every notification round. Estimate — the number of
+// PROBING members, excluding the head itself, constant-factor accurate
+// w.h.p. — is valid once Feed returns true (0 if the cluster appears
+// empty).
 type DominatorFrag struct {
 	Cfg      Config
 	Dom      int
@@ -111,9 +115,11 @@ func (f *DominatorFrag) Feed(sc *sim.StepCtx) bool {
 	}
 }
 
-// DominateeFrag is the sim.Frag form of RunDominatee for a member of
-// cluster Dom. Estimate is valid once Feed returns true (0 if no
-// notification arrived).
+// DominateeFrag executes the probing side of the estimator for a member of
+// cluster Dom, consuming exactly Cfg.SlotBudget slots: it probes with a
+// probability that starts at λ/Δ̂ and doubles per phase (capped at λ) until
+// it hears the head's notification. Estimate is valid once Feed returns
+// true (0 if no notification arrived).
 type DominateeFrag struct {
 	Cfg      Config
 	Dom      int
@@ -207,7 +213,10 @@ func smallCastCfg(cfg SmallConfig) reporter.CastConfig {
 	return cast
 }
 
-// SmallDominatorFrag is the sim.Frag form of RunSmallDominator. Estimate is
+// SmallDominatorFrag executes the dominator side of the Appendix A variant,
+// consuming exactly Cfg.SlotBudget slots: it sits out the election and the
+// probing, collects the per-channel counts up the reporter tree, and
+// broadcasts the total. Estimate — members plus the dominator itself — is
 // valid once Feed returns true.
 type SmallDominatorFrag struct {
 	Cfg      SmallConfig
@@ -274,9 +283,12 @@ func (f *SmallDominatorFrag) Feed(sc *sim.StepCtx) bool {
 	}
 }
 
-// SmallDominateeFrag is the sim.Frag form of RunSmallDominatee for a member
-// of cluster Dom. Estimate is valid once Feed returns true (0 if the
-// broadcast was missed).
+// SmallDominateeFrag executes the member side of the Appendix A variant
+// for cluster Dom, consuming exactly Cfg.SlotBudget slots: pick a channel,
+// elect a leader, estimate per channel (the leader counts, the others
+// probe), report the leader's count up the reporter tree, and learn the
+// total from the dominator's broadcast. Estimate is valid once Feed
+// returns true (0 if the broadcast was missed).
 type SmallDominateeFrag struct {
 	Cfg      SmallConfig
 	Dom      int

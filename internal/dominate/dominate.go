@@ -24,7 +24,6 @@ import (
 
 	"mcnet/internal/geo"
 	"mcnet/internal/model"
-	"mcnet/internal/phy"
 	"mcnet/internal/sim"
 )
 
@@ -80,7 +79,7 @@ type Outcome struct {
 	// IsDominator reports whether the node heads a cluster.
 	IsDominator bool
 	// Dominator is the ID of the node's cluster head (its own ID for
-	// dominators). It is always set after Run.
+	// dominators). It is always set once the stage finishes.
 	Dominator int
 	// SelfAppointed reports that the node became a dominator by exhausting
 	// the schedule uncovered rather than via the ACK handshake.
@@ -98,7 +97,7 @@ func (c Config) roundsPerPhase(p model.Params) int {
 	return int(math.Ceil(c.RoundFactor * p.LogN()))
 }
 
-// SlotBudget returns the exact number of slots Run and Idle consume.
+// SlotBudget returns the exact number of slots RunFrag and Idle consume.
 func (c Config) SlotBudget(p model.Params) int {
 	return 3 * c.phases(p) * c.roundsPerPhase(p)
 }
@@ -106,75 +105,6 @@ func (c Config) SlotBudget(p model.Params) int {
 // Idle consumes the stage's slot budget without participating.
 func Idle(ctx *sim.Ctx, cfg Config) {
 	ctx.IdleFor(cfg.SlotBudget(ctx.Params()))
-}
-
-// Run executes the node's side of the dominating-set construction,
-// consuming exactly cfg.SlotBudget slots.
-func Run(ctx *sim.Ctx, cfg Config) Outcome {
-	var (
-		p      = ctx.Params()
-		phases = cfg.phases(p)
-		rounds = cfg.roundsPerPhase(p)
-		prob   = 1 / float64(p.NEstimate)
-		cap    = 1 / (2 * cfg.Mu)
-		out    = Outcome{Dominator: -1}
-	)
-	for phase := 0; phase < phases; phase++ {
-		for round := 0; round < rounds; round++ {
-			// Slot 1: HELLO.
-			candidate := out.Dominator == -1 && !out.IsDominator
-			sentHello := candidate && ctx.Rand.Float64() < prob
-			clearFrom := -1
-			if sentHello {
-				ctx.Transmit(cfg.Channel, Hello{From: ctx.ID()})
-			} else {
-				rec := ctx.Listen(cfg.Channel)
-				if h, ok := rec.Msg.(Hello); ok && !out.IsDominator &&
-					phy.Clear(rec, p, cfg.R) {
-					clearFrom = h.From
-				}
-			}
-
-			// Slot 2: ACK.
-			gotAck := false
-			switch {
-			case sentHello:
-				rec := ctx.Listen(cfg.Channel)
-				if a, ok := rec.Msg.(Ack); ok && a.To == ctx.ID() &&
-					phy.SenderWithin(rec, p, cfg.R) {
-					gotAck = true
-				}
-			case clearFrom >= 0 && ctx.Rand.Float64() < cfg.AckProb:
-				ctx.Transmit(cfg.Channel, Ack{To: clearFrom})
-			default:
-				ctx.Listen(cfg.Channel)
-			}
-
-			// Slot 3: IN — new dominators announce; established dominators
-			// re-announce; everyone else listens for coverage.
-			switch {
-			case sentHello && gotAck:
-				out.IsDominator = true
-				out.Dominator = ctx.ID()
-				ctx.Transmit(cfg.Channel, In{From: ctx.ID()})
-			case out.IsDominator && ctx.Rand.Float64() < cfg.ReannounceProb:
-				ctx.Transmit(cfg.Channel, In{From: ctx.ID()})
-			default:
-				rec := ctx.Listen(cfg.Channel)
-				if in, ok := rec.Msg.(In); ok && out.Dominator == -1 &&
-					phy.SenderWithin(rec, p, cfg.R) {
-					out.Dominator = in.From
-				}
-			}
-		}
-		prob = math.Min(prob*2, cap)
-	}
-	if out.Dominator == -1 {
-		out.IsDominator = true
-		out.SelfAppointed = true
-		out.Dominator = ctx.ID()
-	}
-	return out
 }
 
 // Stats summarizes a constructed dominating set for validation and the E9

@@ -24,7 +24,9 @@ func runDominate(t *testing.T, pos []geo.Point, cfg Config, seed uint64) []Outco
 	for i := range progs {
 		i := i
 		progs[i] = func(ctx *sim.Ctx) {
-			out[i] = Run(ctx, cfg)
+			f := RunFrag{Cfg: cfg}
+			ctx.Run(&f)
+			out[i] = f.Out
 		}
 	}
 	if _, err := e.Run(progs); err != nil {
@@ -125,7 +127,7 @@ func TestSlotBudgetExact(t *testing.T) {
 	for i := range progs {
 		i := i
 		progs[i] = func(ctx *sim.Ctx) {
-			Run(ctx, cfg)
+			ctx.Run(&RunFrag{Cfg: cfg})
 			after[i] = ctx.Slot()
 		}
 	}

@@ -1,10 +1,7 @@
 package dominate
 
-// Stepper-form port of Run (see internal/sim: Stepper, Frag). The fragment
-// is the same protocol with the goroutine's loop state held explicitly; it
-// mirrors Run's control flow — in particular the order and conditions of
-// ctx.Rand draws and the placement of post-Listen consumption code — so the
-// two forms produce bit-identical transcripts.
+// The dominating-set protocol as a sim.Frag (see internal/sim: Stepper,
+// Frag): the round loop's state is held explicitly, one slot per Feed.
 
 import (
 	"math"
@@ -23,7 +20,17 @@ const (
 	awaitIn
 )
 
-// RunFrag is the sim.Frag form of Run. Out is valid once Feed returns true.
+// RunFrag executes the node's side of the dominating-set construction,
+// consuming exactly Cfg.SlotBudget slots. Out is valid once Feed returns
+// true.
+//
+// Each round has three slots. HELLO: an uncovered candidate probes with
+// the phase probability; everyone else listens and notes a clear prober.
+// ACK: a prober listens; a clear receiver confirms with AckProb. IN: an
+// acknowledged prober becomes a dominator and announces; established
+// dominators re-announce with ReannounceProb; everyone else listens for
+// coverage. The probability doubles per phase up to 1/(2µ); a node still
+// uncovered at the end appoints itself dominator.
 type RunFrag struct {
 	Cfg Config
 	Out Outcome
@@ -38,9 +45,6 @@ type RunFrag struct {
 	await             runAwait
 }
 
-// NewRunFrag returns the fragment form of Run(cfg).
-func NewRunFrag(cfg Config) *RunFrag { return &RunFrag{Cfg: cfg} }
-
 // Feed implements sim.Frag.
 func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 	p := sc.Params()
@@ -53,9 +57,7 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 		f.Out = Outcome{Dominator: -1}
 		f.clearFrom = -1
 	}
-	// Consume the previous slot's reception first — the mirror of the
-	// goroutine code that runs between a Listen's return and the next
-	// primitive.
+	// Consume the previous slot's reception first.
 	switch f.await {
 	case awaitHello:
 		rec := sc.Prev()

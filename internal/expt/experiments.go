@@ -455,16 +455,24 @@ func E6CSA(o Options) (*stats.Table, error) {
 		if variant == "large" {
 			cfg := csa.DefaultConfig(256, memberR)
 			budget = cfg.SlotBudget(p)
-			progs[0] = func(ctx *sim.Ctx) { est = csa.RunDominator(ctx, cfg, 0) + 1 }
+			progs[0] = func(ctx *sim.Ctx) {
+				f := csa.DominatorFrag{Cfg: cfg, Dom: 0}
+				ctx.Run(&f)
+				est = f.Estimate + 1
+			}
 			for i := 1; i < size; i++ {
-				progs[i] = func(ctx *sim.Ctx) { csa.RunDominatee(ctx, cfg, 0) }
+				progs[i] = func(ctx *sim.Ctx) { ctx.Run(&csa.DominateeFrag{Cfg: cfg, Dom: 0}) }
 			}
 		} else {
 			cfg := csa.DefaultSmallConfig(p, memberR)
 			budget = cfg.SlotBudget(p)
-			progs[0] = func(ctx *sim.Ctx) { est = csa.RunSmallDominator(ctx, cfg) }
+			progs[0] = func(ctx *sim.Ctx) {
+				f := csa.SmallDominatorFrag{Cfg: cfg}
+				ctx.Run(&f)
+				est = f.Estimate
+			}
 			for i := 1; i < size; i++ {
-				progs[i] = func(ctx *sim.Ctx) { csa.RunSmallDominatee(ctx, cfg, 0) }
+				progs[i] = func(ctx *sim.Ctx) { ctx.Run(&csa.SmallDominateeFrag{Cfg: cfg, Dom: 0}) }
 			}
 		}
 		if _, err := e.Run(progs); err != nil {
@@ -647,7 +655,11 @@ func E9Backbone(o Options) (*stats.Table, error) {
 		progs := make([]sim.Program, n)
 		for i := range progs {
 			i := i
-			progs[i] = func(ctx *sim.Ctx) { dout[i] = dominate.Run(ctx, dcfg) }
+			progs[i] = func(ctx *sim.Ctx) {
+				f := dominate.RunFrag{Cfg: dcfg}
+				ctx.Run(&f)
+				dout[i] = f.Out
+			}
 		}
 		if _, err := e.Run(progs); err != nil {
 			return e9Run{}, err
@@ -662,7 +674,11 @@ func E9Backbone(o Options) (*stats.Table, error) {
 		for i := range progs2 {
 			i := i
 			if dout[i].IsDominator {
-				progs2[i] = func(ctx *sim.Ctx) { cout[i] = backbone.RunColor(ctx, ccfg) }
+				progs2[i] = func(ctx *sim.Ctx) {
+					f := backbone.ColorFrag{Cfg: ccfg}
+					ctx.Run(&f)
+					cout[i] = f.Out
+				}
 			} else {
 				progs2[i] = func(ctx *sim.Ctx) { backbone.IdleColor(ctx, ccfg) }
 			}

@@ -1,7 +1,6 @@
 package reporter
 
 import (
-	"mcnet/internal/agg"
 	"mcnet/internal/phy"
 	"mcnet/internal/sim"
 )
@@ -110,165 +109,6 @@ type CastState struct {
 	// single child (role 1) is recorded on index 1.
 	ChildVals map[int][2]int64
 	ChildSeen map[int][2]bool
-}
-
-// RunCastUp executes one up pass of the reporter tree for cluster dom.
-//
-// Role 0 is the dominator; roles 1..F are channel reporters (role k on
-// physical channel k-1); bystanders use IdleCast. Child values are folded
-// with op. Missing roles (empty channels) are healed by the Appendix A
-// rules: an unacknowledged left child stands in for its missing parent,
-// absorbing its sibling's transmission directly; an unacknowledged right
-// child takes over only when the left sibling is absent too (a present left
-// sibling would have acknowledged it).
-//
-// Sub-slots per level: 0 = left child transmits, 1 = ack to left child,
-// 2 = right child transmits, 3 = ack to right child. Role 1 (the root's
-// only child) uses the right-child sub-slots. The pass consumes exactly
-// cfg.SlotBudget slots.
-func RunCastUp(ctx *sim.Ctx, cfg CastConfig, role, dom int, value int64, op agg.Op) CastState {
-	var (
-		p      = ctx.Params()
-		stride = cfg.stride()
-		st     = CastState{
-			Value:       value,
-			DeliveredAs: -1,
-			ChildVals:   map[int][2]int64{},
-			ChildSeen:   map[int][2]bool{},
-		}
-		acting = role
-		done   = false
-	)
-	if role >= 0 {
-		st.Chain = append(st.Chain, role)
-	}
-	recordChild := func(j, side int, v int64) {
-		cv, cs := st.ChildVals[j], st.ChildSeen[j]
-		cv[side], cs[side] = v, true
-		st.ChildVals[j], st.ChildSeen[j] = cv, cs
-	}
-
-	for lvl := cfg.Levels(); lvl >= 1; lvl-- {
-		ctx.IdleFor(4 * cfg.Offset)
-		var (
-			isSender = !done && acting >= 1 && levelOf(acting) == lvl
-			isParent = !done && acting >= 0 && levelOf(acting) == lvl-1
-			// Role 1 transmits in the right-child sub-slots.
-			sendsLeft  = isSender && acting%2 == 0 && acting != 1
-			sendsRight = isSender && (acting%2 == 1 || acting == 1)
-			parentRole = acting / 2
-			sendCh     = chanOf(parentRole) // channel the parent owns
-			ownCh      = chanOf(acting)
-			gotAck     = false
-			standIn    = false
-			sibValue   int64
-			sibSeen    = false
-		)
-
-		// Sub-slot 0: left children transmit.
-		switch {
-		case sendsLeft:
-			ctx.Transmit(sendCh, UpMsg{ToRole: parentRole, Dom: dom, From: acting, Value: st.Value})
-		case isParent:
-			rec := ctx.Listen(ownCh)
-			if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == acting && m.Dom == dom &&
-				m.From == 2*acting && phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-				recordChild(acting, 0, m.Value)
-			}
-		default:
-			ctx.Idle()
-		}
-
-		// Sub-slot 1: parents ack their left child.
-		switch {
-		case isParent && st.ChildSeen[acting][0]:
-			ctx.Transmit(ownCh, UpAck{ToRole: 2 * acting, Dom: dom})
-		case sendsLeft:
-			rec := ctx.Listen(sendCh)
-			if a, ok := rec.Msg.(UpAck); ok && a.ToRole == acting && a.Dom == dom {
-				gotAck = true
-			}
-			standIn = !gotAck // parent absent: stand in for it
-		default:
-			ctx.Idle()
-		}
-
-		// Sub-slot 2: right children transmit; stand-ins absorb their
-		// sibling's transmission off the shared parent channel.
-		switch {
-		case sendsRight:
-			ctx.Transmit(sendCh, UpMsg{ToRole: parentRole, Dom: dom, From: acting, Value: st.Value})
-		case isParent:
-			rec := ctx.Listen(ownCh)
-			if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == acting && m.Dom == dom &&
-				m.From == 2*acting+1 && phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-				recordChild(acting, 1, m.Value)
-			}
-		case standIn:
-			rec := ctx.Listen(sendCh)
-			if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == parentRole && m.Dom == dom &&
-				m.From == acting+1 && phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-				sibValue, sibSeen = m.Value, true
-			}
-		default:
-			ctx.Idle()
-		}
-
-		// Sub-slot 3: parents (or stand-ins) ack the right child.
-		switch {
-		case isParent && st.ChildSeen[acting][1]:
-			ctx.Transmit(ownCh, UpAck{ToRole: 2*acting + 1, Dom: dom})
-		case standIn && sibSeen:
-			ctx.Transmit(sendCh, UpAck{ToRole: acting + 1, Dom: dom})
-		case sendsRight:
-			rec := ctx.Listen(sendCh)
-			if a, ok := rec.Msg.(UpAck); ok && a.ToRole == acting && a.Dom == dom {
-				gotAck = true
-			}
-		default:
-			ctx.Idle()
-		}
-
-		// Fold absorbed values and resolve takeovers for the next level.
-		if isParent {
-			if st.ChildSeen[acting][0] {
-				st.Value = op.Combine(st.Value, st.ChildVals[acting][0])
-			}
-			if st.ChildSeen[acting][1] {
-				st.Value = op.Combine(st.Value, st.ChildVals[acting][1])
-			}
-		}
-		if isSender {
-			switch {
-			case gotAck:
-				st.DeliveredAs = acting
-				done = true
-			default:
-				// Parent absent. Left children (and role 1, whose parent —
-				// the dominator — is always present, so this is defensive)
-				// take over; right children take over only when the left
-				// sibling is absent (no stand-in ack arrived).
-				st.Chain = append(st.Chain, parentRole)
-				acting = parentRole
-				if standIn {
-					// Record the stand-in's view: left = own subtree,
-					// right = absorbed sibling.
-					recordChild(parentRole, 0, st.Value)
-					if sibSeen {
-						st.Value = op.Combine(st.Value, sibValue)
-						recordChild(parentRole, 1, sibValue)
-					}
-				} else {
-					// Right child taking over: its subtree is the right
-					// record.
-					recordChild(parentRole, 1, st.Value)
-				}
-			}
-		}
-
-		ctx.IdleFor(4 * (stride - 1 - cfg.Offset))
-	}
-	return st
 }
 
 // RunCastDown executes one down pass, distributing payload intervals from

@@ -51,7 +51,7 @@ func TestCastUpPropertyRandomSubsets(t *testing.T) {
 		for i := range progs {
 			i := i
 			progs[i] = func(ctx *sim.Ctx) {
-				states[i] = RunCastUp(ctx, cfg, roles[i], 0, values[i], agg.Sum)
+				states[i] = castUpStage(ctx, cfg, roles[i], 0, values[i], agg.Sum)
 			}
 		}
 		if _, err := e.Run(progs); err != nil {
@@ -97,7 +97,7 @@ func TestCastDownPropertyRandomSubsets(t *testing.T) {
 		for i := range progs {
 			i := i
 			progs[i] = func(ctx *sim.Ctx) {
-				st := RunCastUp(ctx, cfg, roles[i], 0, values[i], agg.Sum)
+				st := castUpStage(ctx, cfg, roles[i], 0, values[i], agg.Sum)
 				if roles[i] == 0 {
 					rootTotal = st.Value
 				}

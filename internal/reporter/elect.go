@@ -21,7 +21,6 @@ import (
 	"math"
 
 	"mcnet/internal/model"
-	"mcnet/internal/phy"
 	"mcnet/internal/sim"
 )
 
@@ -67,7 +66,7 @@ func (c ElectConfig) Rounds(p model.Params) int {
 	return int(math.Ceil(c.RoundFactor * p.LogN()))
 }
 
-// SlotBudget returns the exact number of slots RunElect and IdleElect
+// SlotBudget returns the exact number of slots ElectFrag and IdleElect
 // consume.
 func (c ElectConfig) SlotBudget(p model.Params) int {
 	return c.stride() * c.Rounds(p)
@@ -76,31 +75,4 @@ func (c ElectConfig) SlotBudget(p model.Params) int {
 // IdleElect consumes the stage budget without participating.
 func IdleElect(ctx *sim.Ctx, cfg ElectConfig) {
 	ctx.IdleFor(cfg.SlotBudget(ctx.Params()))
-}
-
-// RunElect executes the election on the given physical channel for a member
-// of cluster dom. It returns the elected reporter's ID — the minimum ID
-// among members that chose the channel, w.h.p. — which equals the caller's
-// own ID exactly when it is the reporter. It consumes exactly
-// cfg.SlotBudget slots.
-func RunElect(ctx *sim.Ctx, cfg ElectConfig, channel, dom int) int {
-	var (
-		p      = ctx.Params()
-		stride = cfg.stride()
-		min    = ctx.ID()
-	)
-	for round := 0; round < cfg.Rounds(p); round++ {
-		ctx.IdleFor(cfg.Offset)
-		if min == ctx.ID() && ctx.Rand.Float64() < cfg.TxProb {
-			ctx.Transmit(channel, Cand{From: ctx.ID(), Dom: dom})
-		} else {
-			rec := ctx.Listen(channel)
-			if c, ok := rec.Msg.(Cand); ok && c.Dom == dom && c.From < min &&
-				phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-				min = c.From
-			}
-		}
-		ctx.IdleFor(stride - 1 - cfg.Offset)
-	}
-	return min
 }

@@ -13,6 +13,20 @@ import (
 
 // clusterField places n nodes inside a disk of the given radius (a single
 // cluster) under F channels.
+// electStage drives ElectFrag from a Program and returns the elected ID.
+func electStage(ctx *sim.Ctx, cfg ElectConfig, channel, dom int) int {
+	f := ElectFrag{Cfg: cfg, Channel: channel, Dom: dom}
+	ctx.Run(&f)
+	return f.Min
+}
+
+// castUpStage drives CastUpFrag from a Program and returns its state.
+func castUpStage(ctx *sim.Ctx, cfg CastConfig, role, dom int, value int64, op agg.Op) CastState {
+	f := CastUpFrag{Cfg: cfg, Role: role, Dom: dom, Value: value, Op: op}
+	ctx.Run(&f)
+	return f.St
+}
+
 func clusterField(n, channels int, radius float64, seed int64) (*phy.Field, model.Params) {
 	rnd := rand.New(rand.NewSource(seed))
 	pos := make([]geo.Point, n)
@@ -38,7 +52,7 @@ func TestElectMinIDPerChannel(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		progs[i] = func(ctx *sim.Ctx) {
-			isLeader[i] = RunElect(ctx, cfg, i%channels, 0) == ctx.ID()
+			isLeader[i] = electStage(ctx, cfg, i%channels, 0) == ctx.ID()
 		}
 	}
 	if _, err := e.Run(progs); err != nil {
@@ -75,7 +89,7 @@ func TestElectTwoClustersIsolated(t *testing.T) {
 			dom = perCluster
 		}
 		progs[i] = func(ctx *sim.Ctx) {
-			isLeader[i] = RunElect(ctx, cfg, 0, dom) == ctx.ID()
+			isLeader[i] = electStage(ctx, cfg, 0, dom) == ctx.ID()
 		}
 	}
 	if _, err := e.Run(progs); err != nil {
@@ -96,7 +110,7 @@ func TestElectSlotBudget(t *testing.T) {
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
 	progs := []sim.Program{
-		func(ctx *sim.Ctx) { RunElect(ctx, cfg, 0, 0); after[0] = ctx.Slot() },
+		func(ctx *sim.Ctx) { electStage(ctx, cfg, 0, 0); after[0] = ctx.Slot() },
 		func(ctx *sim.Ctx) { IdleElect(ctx, cfg); after[1] = ctx.Slot() },
 	}
 	if _, err := e.Run(progs); err != nil {
@@ -124,7 +138,7 @@ func runCast(t *testing.T, roles []int, values []int64, channels int, op agg.Op,
 				IdleCast(ctx, cfg)
 				return
 			}
-			states[i] = RunCastUp(ctx, cfg, roles[i], 0, values[i], op)
+			states[i] = castUpStage(ctx, cfg, roles[i], 0, values[i], op)
 		}
 	}
 	if _, err := e.Run(progs); err != nil {
@@ -255,7 +269,7 @@ func TestCastDownDistributesDisjointRanges(t *testing.T) {
 	for i := range progs {
 		i := i
 		progs[i] = func(ctx *sim.Ctx) {
-			states[i] = RunCastUp(ctx, cfg, roles[i], 0, values[i], agg.Sum)
+			states[i] = castUpStage(ctx, cfg, roles[i], 0, values[i], agg.Sum)
 			root := [2]int64{0, states[i].Value} // only meaningful at role 0
 			payloads[i], oks[i] = RunCastDown(ctx, cfg, roles[i], 0, states[i], root, coloringSplit)
 		}
@@ -306,7 +320,7 @@ func TestCastDownWithTakeover(t *testing.T) {
 				IdleCast(ctx, cfg)
 				return
 			}
-			states[i] = RunCastUp(ctx, cfg, roles[i], 0, values[i], agg.Sum)
+			states[i] = castUpStage(ctx, cfg, roles[i], 0, values[i], agg.Sum)
 			root := [2]int64{0, states[i].Value}
 			payloads[i], oks[i] = RunCastDown(ctx, cfg, roles[i], 0, states[i], root, coloringSplit)
 		}
@@ -338,7 +352,7 @@ func TestCastSlotBudget(t *testing.T) {
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
 	progs := []sim.Program{
-		func(ctx *sim.Ctx) { RunCastUp(ctx, cfg, 0, 0, 1, agg.Sum); after[0] = ctx.Slot() },
+		func(ctx *sim.Ctx) { castUpStage(ctx, cfg, 0, 0, 1, agg.Sum); after[0] = ctx.Slot() },
 		func(ctx *sim.Ctx) { IdleCast(ctx, cfg); after[1] = ctx.Slot() },
 	}
 	if _, err := e.Run(progs); err != nil {

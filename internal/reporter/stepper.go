@@ -1,9 +1,8 @@
 package reporter
 
-// Stepper-form ports of RunElect and RunCastUp (see internal/sim: Stepper,
-// Frag). Each fragment mirrors its goroutine original's control flow — the
-// order and conditions of ctx.Rand draws and the placement of post-Listen
-// consumption code — so the two forms produce bit-identical transcripts.
+// Election and the reporter-tree up pass as sim.Frags (see internal/sim:
+// Stepper, Frag): each round loop's state is held explicitly, one slot per
+// Feed.
 
 import (
 	"mcnet/internal/agg"
@@ -11,9 +10,13 @@ import (
 	"mcnet/internal/sim"
 )
 
-// ElectFrag is the sim.Frag form of RunElect on the given channel for a
-// member of cluster Dom. Min is the node's current minimum; once Feed
-// returns true it is the election result.
+// ElectFrag executes the election on physical channel Channel for a member
+// of cluster Dom, consuming exactly Cfg.SlotBudget slots: a node that still
+// believes itself the minimum transmits its candidacy with TxProb, everyone
+// else listens and adopts smaller IDs. Min is the node's current minimum;
+// once Feed returns true it is the elected reporter's ID — the minimum ID
+// among members that chose the channel, w.h.p. — which equals the node's
+// own ID exactly when it is the reporter.
 type ElectFrag struct {
 	Cfg          ElectConfig
 	Channel, Dom int
@@ -86,8 +89,22 @@ const (
 	castAwaitSub3Sender
 )
 
-// CastUpFrag is the sim.Frag form of RunCastUp for tree role Role in
-// cluster Dom, folding Value with Op. St is valid once Feed returns true.
+// CastUpFrag executes one up pass of the reporter tree for tree role Role
+// in cluster Dom, folding Value with the child values under Op. St is
+// valid once Feed returns true.
+//
+// Role 0 is the dominator; roles 1..F are channel reporters (role k on
+// physical channel k-1); bystanders use IdleCast. Missing roles (empty
+// channels) are healed by the Appendix A rules: an unacknowledged left
+// child stands in for its missing parent, absorbing its sibling's
+// transmission directly; an unacknowledged right child takes over only
+// when the left sibling is absent too (a present left sibling would have
+// acknowledged it).
+//
+// Sub-slots per level: 0 = left child transmits, 1 = ack to left child,
+// 2 = right child transmits, 3 = ack to right child. Role 1 (the root's
+// only child) uses the right-child sub-slots. The pass consumes exactly
+// Cfg.SlotBudget slots.
 type CastUpFrag struct {
 	Cfg       CastConfig
 	Role, Dom int
@@ -101,7 +118,7 @@ type CastUpFrag struct {
 	acting int
 	done   bool
 	await  castAwait
-	// Per-level locals of the goroutine form.
+	// Per-level state, reset at each level's sub-slot 0.
 	isSender, isParent    bool
 	sendsLeft, sendsRight bool
 	parentRole            int

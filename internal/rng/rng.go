@@ -1,9 +1,9 @@
 // Package rng provides deterministic, splittable random number streams.
 //
-// The simulator runs one goroutine per node; determinism must therefore not
-// depend on goroutine scheduling. Each node draws from its own stream,
-// derived from a run seed and the node ID via SplitMix64 mixing, so a run is
-// reproducible from (seed, topology) alone.
+// The simulator steps nodes in any order and on any number of workers;
+// determinism must therefore not depend on scheduling. Each node draws from
+// its own stream, derived from a run seed and the node ID via SplitMix64
+// mixing, so a run is reproducible from (seed, topology) alone.
 package rng
 
 import "math/rand"

@@ -8,8 +8,8 @@ import (
 	"mcnet/internal/phy"
 )
 
-// BenchmarkEngineSlotThroughput measures raw engine overhead: n goroutine
-// nodes idling/listening through slots.
+// benchEngine measures raw engine overhead: n Program nodes
+// transmitting/listening through slots.
 func benchEngine(b *testing.B, n int) {
 	b.Helper()
 	pos := make([]geo.Point, n)
@@ -42,10 +42,10 @@ func benchEngine(b *testing.B, n int) {
 func BenchmarkEngine64Nodes100Slots(b *testing.B)  { benchEngine(b, 64) }
 func BenchmarkEngine256Nodes100Slots(b *testing.B) { benchEngine(b, 256) }
 
-// BenchmarkEngineBarrier isolates the slot-barrier cost: the same chatter
-// workload as goroutine nodes arriving at the barrier and as steppers that
-// never touch it.
-func benchEngineBarrier(b *testing.B, n int) {
+// BenchmarkEngineStep isolates the per-step cost of the two node forms: the
+// same chatter workload as Programs, each resumed as a coroutine once per
+// slot, and as Steppers called inline.
+func benchEngineCoroutine(b *testing.B, n int) {
 	b.Helper()
 	pos := make([]geo.Point, n)
 	for i := range pos {
@@ -74,8 +74,8 @@ func benchEngineBarrier(b *testing.B, n int) {
 	b.ReportMetric(float64(50*n*b.N)/b.Elapsed().Seconds(), "node-slots/s")
 }
 
-// benchChatter is the Stepper form of the barrier bench workload: the same
-// draws, no goroutine or barrier involved.
+// benchChatter is the Stepper form of the step bench workload: the same
+// draws, no coroutine involved.
 type benchChatter struct {
 	rounds, s int
 }
@@ -94,9 +94,8 @@ func (c *benchChatter) Step(sc *StepCtx) {
 	}
 }
 
-// benchEngineStepped drives the barrier bench workload in the goroutine-free
-// stepped mode: there is no slot barrier at all, so the gap against the
-// barrier sub-benches is the whole goroutine park/unpark + barrier term.
+// benchEngineStepped drives the step bench workload as Steppers, so the gap
+// against the coroutine sub-bench is the coroutine switch per node-step.
 func benchEngineStepped(b *testing.B, n int) {
 	b.Helper()
 	pos := make([]geo.Point, n)
@@ -120,8 +119,8 @@ func benchEngineStepped(b *testing.B, n int) {
 	b.ReportMetric(float64(50*n*b.N)/b.Elapsed().Seconds(), "node-slots/s")
 }
 
-func BenchmarkEngineBarrier(b *testing.B) {
-	b.Run("goroutine/n=4k", func(b *testing.B) { benchEngineBarrier(b, 4096) })
+func BenchmarkEngineStep(b *testing.B) {
+	b.Run("coroutine/n=4k", func(b *testing.B) { benchEngineCoroutine(b, 4096) })
 	b.Run("stepped/n=4k", func(b *testing.B) { benchEngineStepped(b, 4096) })
 	b.Run("stepped/n=65k", func(b *testing.B) { benchEngineStepped(b, 65536) })
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -23,7 +24,7 @@ func transcriptHash(t *testing.T, f *phy.Field, seed uint64, progs []Program) (u
 }
 
 // engineTranscriptHash is transcriptHash over a caller-configured engine
-// (barrier mode, slot caps).
+// (slot caps, faults).
 func engineTranscriptHash(t *testing.T, e *Engine, progs []Program) (uint64, int) {
 	t.Helper()
 	h := fnv.New64a()
@@ -85,8 +86,8 @@ func chatterPrograms(n, channels, slots int, emit bool) []Program {
 	return progs
 }
 
-// TestGoldenTranscript is the seed-determinism contract for the barrier
-// engine and resolver stack: equal seeds produce bit-identical slot
+// TestGoldenTranscript is the seed-determinism contract for the engine and
+// resolver stack: equal seeds produce bit-identical slot
 // transcripts and event logs, run after run, with or without listener
 // fan-out in the SINR layer.
 func TestGoldenTranscript(t *testing.T) {
@@ -163,7 +164,7 @@ func TestIdleForMatchesIdleLoop(t *testing.T) {
 }
 
 // TestAllNodesIdle: when every live node is mid-IdleFor the engine
-// fast-forwards slots without a barrier round; slot accounting, traces and
+// fast-forwards slots without stepping anyone; slot accounting, traces and
 // wakeups stay exact.
 func TestAllNodesIdle(t *testing.T) {
 	f := lineField(3, 0.4, 1)
@@ -209,14 +210,20 @@ func TestIdlerOutlivesEveryone(t *testing.T) {
 	}
 }
 
-// TestCancelDuringIdleBatch: cancellation reaches nodes parked inside an
-// IdleFor batch.
+// TestCancelDuringIdleBatch: cancellation reaches nodes asleep inside an
+// IdleFor batch — the sleeper's Program unwinds through its defers and no
+// coroutine outlives the run.
 func TestCancelDuringIdleBatch(t *testing.T) {
+	before := runtime.NumGoroutine()
 	f := lineField(2, 0.4, 1)
 	e := NewEngine(f, 1)
 	ctx, cancel := context.WithCancel(context.Background())
+	unwound := false
 	progs := []Program{
-		func(c *Ctx) { c.IdleFor(1 << 20) },
+		func(c *Ctx) {
+			defer func() { unwound = true }()
+			c.IdleFor(1 << 20)
+		},
 		func(c *Ctx) {
 			for i := 0; ; i++ {
 				if i == 10 {
@@ -229,6 +236,10 @@ func TestCancelDuringIdleBatch(t *testing.T) {
 	if _, err := e.RunContext(ctx, progs); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	if !unwound {
+		t.Error("sleeping Program's defer did not run on cancellation")
+	}
+	checkGoroutines(t, before)
 }
 
 // TestZeroNodeRun: an empty field completes immediately with zero slots
@@ -242,9 +253,10 @@ func TestZeroNodeRun(t *testing.T) {
 	}
 }
 
-// TestAbortDeliversNoStaleReception: when the engine aborts, nodes parked
-// at the barrier are freed but their slot was never resolved — step must
-// unwind, not hand the program a reception left over from an earlier slot.
+// TestAbortDeliversNoStaleReception: when the engine aborts, suspended
+// Programs are unwound but their last slot was never resolved — the
+// primitive must unwind, not hand the program a reception left over from an
+// earlier slot.
 func TestAbortDeliversNoStaleReception(t *testing.T) {
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)

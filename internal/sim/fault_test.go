@@ -136,7 +136,7 @@ func TestEngineFaultCrash(t *testing.T) {
 // TestEngineFaultCrashInIdleBatch: a crash slot inside an IdleFor batch
 // takes effect at the batch boundary — the node's next radio primitive
 // unwinds instead of acting, so nothing it schedules after the batch ever
-// airs, and the barrier accounting stays consistent.
+// airs, and the engine's live-node accounting stays consistent.
 func TestEngineFaultCrashInIdleBatch(t *testing.T) {
 	const n = 2
 	e := NewEngine(lineField(n, 0.2, 1), 1)

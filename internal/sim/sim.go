@@ -7,68 +7,56 @@
 // in each slot a node selects one of the F channels and either transmits or
 // listens on it.
 //
-// # Execution modes
+// # One engine, two ways to write a node
 //
-// A node protocol comes in two interchangeable forms:
+// The engine drives Steppers: protocol state held in an explicit struct and
+// advanced by one Step call per slot in which the node is awake, inline on
+// the engine goroutine (or on step workers when many nodes are awake). A
+// protocol that reads best as straight-line code is written as a Program
+// instead: Run/RunContext wrap each Program with Coroutine, a Stepper that
+// resumes the Program once per Step and suspends it again at its next
+// primitive. Either way the action lands in a per-node pending slot that
+// the engine scans in node order, so transcripts depend only on (seed,
+// topology, protocols), never on scheduling. Frag pieces compose both
+// forms: a Stepper feeds them directly, a Program through Ctx.Run.
 //
-//   - A goroutine Program: ordinary sequential Go code in its own
-//     goroutine, blocking at each primitive until the slot resolves. The
-//     natural way to write a protocol, at the cost of one stack and one
-//     park/unpark per node per slot.
-//   - A Stepper: protocol state in an explicit struct, driven inline by the
-//     engine with one Step call per slot — no goroutine, no stack, no
-//     parking. The crowd-scale fast path (see stepper.go).
+// # Crash boundary
 //
-// A run drives one form: Run/RunContext take Programs and
-// RunSteppers/RunSteppersContext take Steppers; a nil entry of either
-// powers that node down. Both forms produce bit-identical transcripts by
-// construction: either way actions land in per-node pending slots that the
-// engine scans in node order, so the scheduler decides when a node's
-// action lands, never the resolved transcript.
-//
-// # Slot barrier
-//
-// A slot costs one synchronization round, not one rendezvous per node:
-// goroutine nodes deposit their action into a shared per-node slot (no
-// contention — node i writes only index i) and arrive at one packed atomic
-// gate word, the last arriver hands the engine a single wake token, and
-// after resolution the engine releases all of them at once by closing the
-// slot's release channel. Each node therefore parks at most once per slot,
-// and the engine parks once, instead of the two blocking channel handoffs
-// per node per slot of a naive design. Stepped nodes never touch the
-// barrier — the engine drives them inside its own quiescent window.
+// From its fault-injected crash slot on, a node performs no radio action. A
+// Stepper is simply not stepped again. A Program is resumed once more at
+// its crash slot: the code between its last primitive and the next one
+// runs, and that next primitive unwinds the Program (running its defers)
+// instead of acting. When a run aborts — MaxSlots, cancellation, a
+// panicking node — every suspended Program is unwound the same way before
+// Run returns, so no coroutine outlives its run.
 //
 // # Idle wake-wheel
 //
-// IdleFor(k) takes a node out of circulation for k slots: off the barrier
-// (goroutine form) or off the awake list (stepped form), registered in a
+// IdleFor(k) takes a node off the awake list for k slots, registered in a
 // calendar queue keyed by wake slot (wheel.go). Sleeping nodes cost nothing
 // per slot; the engine pops one wheel bucket per slot to wake the nodes
 // whose batch just ended, so mixed active/idle populations fast-forward
 // past the sleepers.
 //
-// Determinism: node programs draw randomness only from ctx.Rand, a per-node
-// stream derived from (run seed, node ID), and slot resolution is
+// Determinism: node protocols draw randomness only from their Rand, a
+// per-node stream derived from (run seed, node ID), and slot resolution is
 // order-independent, so a run's transcript is a pure function of (seed,
-// topology, programs) regardless of goroutine scheduling.
+// topology, protocols) regardless of how many workers step the nodes.
 package sim
 
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
-	"mcnet/internal/rng"
 )
 
-// Program is the protocol executed by one node. It runs in its own
-// goroutine; returning means the node powers down for the remainder of the
-// run (it neither transmits nor listens).
+// Program is the protocol executed by one node as straight-line code: each
+// primitive on ctx blocks until the slot it acts in resolves. Returning
+// means the node powers down for the remainder of the run (it neither
+// transmits nor listens).
 type Program func(ctx *Ctx)
 
 // Event is an instrumentation record emitted by a node via Ctx.Emit.
@@ -89,12 +77,11 @@ type TraceFn func(slot int, txs []phy.Tx, rxs []phy.Rx, recs []phy.Reception)
 // resolved, FilterTransmission once per collected transmission (in node
 // order) before resolution, FilterReception once per listener (in node
 // order) after resolution and before Trace observes the slot — except
-// CrashSlot, which is read once per node at run start. Because both
-// execution modes funnel through the engine's single resolve loop, these
-// call sites and their ordering are identical under goroutine and stepped
-// execution; implementations must be deterministic functions of their own
-// seed, the (slot, node, channel) arguments, and state observed through
-// these same calls, so transcripts stay reproducible.
+// CrashSlot, which is read once per node at run start. The call sites and
+// their ordering do not depend on how many workers step the nodes;
+// implementations must be deterministic functions of their own seed, the
+// (slot, node, channel) arguments, and state observed through these same
+// calls, so transcripts stay reproducible.
 type FaultInjector interface {
 	// BeginSlot runs before the slot is resolved and may reconfigure
 	// per-slot channel jamming on the field.
@@ -112,10 +99,10 @@ type FaultInjector interface {
 	CrashSlot(node int) int
 }
 
-// Engine drives a set of node programs over a phy.Field.
+// Engine drives a set of node protocols over a phy.Field.
 type Engine struct {
-	// MaxSlots aborts the run if programs have not all returned by then.
-	// Zero means DefaultMaxSlots.
+	// MaxSlots aborts the run if the nodes have not all powered down by
+	// then. Zero means DefaultMaxSlots.
 	MaxSlots int
 	// Trace, when non-nil, observes every resolved slot.
 	Trace TraceFn
@@ -126,8 +113,8 @@ type Engine struct {
 	NodeParams *model.Params
 	// EventSink, when non-nil, observes every event as it is emitted, in
 	// addition to the recorded Events() log. Calls are serialized (one at a
-	// time) but may come from any node's goroutine and stall that node's
-	// slot; keep sinks fast.
+	// time) but may come from the engine goroutine or any step worker, and
+	// stall the slot; keep sinks fast.
 	EventSink func(Event)
 	// Faults, when non-nil, injects message loss, channel jamming and node
 	// crashes into every run (see internal/fault). Set it before Run; a
@@ -194,8 +181,7 @@ const (
 	actListen
 	actIdle
 	// actIdleLong declares an IdleFor batch: the node idles for count
-	// consecutive slots and leaves the barrier until they elapse, parking
-	// once instead of once per slot.
+	// consecutive slots and leaves the awake list until they elapse.
 	actIdleLong
 	// actIdleHold marks a node mid-batch: the engine rewrites actIdleLong
 	// to this after registering the wakeup, so continuation slots treat the
@@ -211,97 +197,40 @@ type action struct {
 	count int
 }
 
-// stopSignal is the sentinel panic used to unwind node goroutines when the
-// engine aborts a run.
-type stopSignal struct{}
-
-// roundState is the shared slot barrier of one run. Per slot, every live
-// node either deposits an action into pending (its own index only) and
-// arrives, or terminates and arrives once through its goroutine's deferred
-// cleanup; the arrival that completes the count hands the engine the single
-// wake token. The engine then owns all shared state until it releases the
-// slot by closing the release channel — a quiescent window in which it reads
-// pending, retires terminated nodes, adjusts expect, writes results, and
-// swaps in the next release channel.
-type roundState struct {
-	pending []action        // node i writes pending[i] before arriving
-	results []phy.Reception // engine writes, node i reads after release
-	done    []atomic.Bool   // set by node i's goroutine on termination
-
-	// gate packs the barrier counters into one word: the high half holds
-	// how many arrivals complete the slot (= live, non-idling nodes), the
-	// low half counts arrivals so far. The engine rewrites both halves
-	// together between slots; arrivals increment the low half and compare
-	// the halves of the same atomic snapshot.
-	gate    atomic.Uint64
-	wake    chan struct{}                 // capacity 1: the completing arrival → engine
-	release atomic.Pointer[chan struct{}] // closed by the engine per slot
-
-	// idleWake[i] wakes node i out of an IdleFor batch (capacity 1; only
-	// the engine sends, only node i receives).
-	idleWake []chan struct{}
-
-	// aborted is the fast-path abort flag sampled at every step; stop is
-	// its channel form, selected on by parked idle batches.
-	aborted atomic.Bool
-	stop    chan struct{} // closed when the engine aborts the run
-}
-
-// arrive records one barrier arrival and wakes the engine if it completes
-// the slot. Both halves of the gate come from one atomic snapshot, so
-// exactly one arrival completes a slot. The wake send is non-blocking
-// because stale arrivals during an abort may race with an undelivered
-// token.
-func (rs *roundState) arrive() {
-	g := rs.gate.Add(1)
-	if uint32(g) == uint32(g>>32) {
-		select {
-		case rs.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// openGate publishes the next slot's expected arrival count with the
-// arrival count reset to zero. Must only be called in the engine's
-// quiescent window (no node can arrive until the release channel swap that
-// follows).
-func (rs *roundState) openGate(expectCount int) {
-	rs.gate.Store(uint64(uint32(expectCount)) << 32)
-}
-
 // Run executes one program per node until all programs return, then reports
 // the number of slots consumed. Every call starts at slot 0: Ctx.Slot and
 // event timestamps count from the start of this run, not across runs on
-// the same engine.
+// the same engine. Each program runs as a Coroutine; a nil entry powers
+// that node down.
 func (e *Engine) Run(programs []Program) (slots int, err error) {
-	return e.run(context.Background(), programs, nil)
+	return e.RunContext(context.Background(), programs)
 }
 
 // RunContext is like Run but aborts the round loop as soon as ctx is
-// cancelled, returning ctx.Err(). Cancellation is observed between slots and
-// while waiting for node actions, so it takes effect promptly even during
-// long schedules.
+// cancelled, returning ctx.Err(). Cancellation is observed once per slot,
+// so it takes effect promptly even during long schedules.
 func (e *Engine) RunContext(ctx context.Context, programs []Program) (slots int, err error) {
-	return e.run(ctx, programs, nil)
+	if n := e.field.N(); n > 0 && len(programs) != n {
+		return 0, fmt.Errorf("sim: %d programs for %d nodes", len(programs), n)
+	}
+	steppers := make([]Stepper, len(programs))
+	for i, prog := range programs {
+		if prog != nil {
+			steppers[i] = Coroutine(prog)
+		}
+	}
+	return e.RunSteppersContext(ctx, steppers)
 }
 
-// RunSteppers executes one Stepper per node in the goroutine-free mode —
-// the Stepper-form counterpart of Run, with identical semantics and (for a
-// faithfully ported protocol) an identical transcript.
+// RunSteppers executes one Stepper per node until every node has called
+// Done (or crashed), then reports the number of slots consumed. A nil entry
+// powers that node down. Every call starts at slot 0.
 func (e *Engine) RunSteppers(steppers []Stepper) (slots int, err error) {
-	return e.run(context.Background(), nil, steppers)
+	return e.RunSteppersContext(context.Background(), steppers)
 }
 
 // RunSteppersContext combines RunSteppers and RunContext.
 func (e *Engine) RunSteppersContext(ctx context.Context, steppers []Stepper) (slots int, err error) {
-	return e.run(ctx, nil, steppers)
-}
-
-// run drives one population: node i runs steppers[i] when non-nil,
-// programs[i] otherwise (either slice may be nil for "none of this form").
-// Both forms share the slot clock, the resolver, and the fault injector.
-func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -309,220 +238,85 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 	if n == 0 {
 		return 0, nil
 	}
-	if programs == nil && steppers == nil {
-		return 0, fmt.Errorf("sim: no programs or steppers for %d nodes", n)
-	}
-	if programs != nil && len(programs) != n {
-		return 0, fmt.Errorf("sim: %d programs for %d nodes", len(programs), n)
-	}
-	if steppers != nil && len(steppers) != n {
+	if len(steppers) != n {
 		return 0, fmt.Errorf("sim: %d steppers for %d nodes", len(steppers), n)
 	}
 	maxSlots := e.MaxSlots
 	if maxSlots <= 0 {
 		maxSlots = DefaultMaxSlots
 	}
-
-	// Split the population: node i is stepped iff steppers[i] is non-nil;
-	// every other node is a goroutine Program node (a nil Program powers
-	// down immediately). Only program nodes touch the barrier.
-	nSteppers := 0
-	if steppers != nil {
-		for i := 0; i < n; i++ {
-			if steppers[i] != nil {
-				nSteppers++
-			}
-		}
-	}
-	nProgs := n - nSteppers
-
-	rs := &roundState{
-		pending: make([]action, n),
-		results: make([]phy.Reception, n),
-		done:    make([]atomic.Bool, n),
-		wake:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-	}
-	rec := &panicRecorder{}
 	nodeParams := e.field.Params()
 	if e.NodeParams != nil {
 		nodeParams = *e.NodeParams
 	}
-	var sr *steppedRun
-	if nSteppers > 0 {
-		sr = newSteppedRun(e, rs, steppers, nodeParams)
-	}
-	isStepped := func(i int) bool { return sr != nil && sr.state[i] != stepNone }
+	sr := newSteppedRun(e, steppers, nodeParams)
+	rec := &panicRecorder{}
 
-	// Only goroutine nodes arrive at the barrier.
-	rs.openGate(nProgs)
-	rel := make(chan struct{})
-	rs.release.Store(&rel)
-
-	var wg sync.WaitGroup
-	if nProgs > 0 {
-		rs.idleWake = make([]chan struct{}, n)
-		// One contiguous Ctx arena instead of one allocation per node, and
-		// one flat generator arena instead of two allocations per node.
-		ctxs := make([]Ctx, n)
-		rands := rng.Streams(e.seed, n)
-		wg.Add(nProgs)
-		for i := 0; i < n; i++ {
-			if isStepped(i) {
-				continue
-			}
-			rs.idleWake[i] = make(chan struct{}, 1)
-			nctx := &ctxs[i]
-			*nctx = Ctx{
-				id:      i,
-				engine:  e,
-				params:  nodeParams,
-				Rand:    rands[i],
-				rs:      rs,
-				crashAt: math.MaxInt,
-			}
-			if e.Faults != nil {
-				nctx.crashAt = e.Faults.CrashSlot(i)
-			}
-			var prog Program
-			if programs != nil {
-				prog = programs[i]
-			}
-			go func(i int, nctx *Ctx, prog Program) {
-				defer wg.Done()
-				defer func() {
-					r := recover()
-					if r != nil {
-						if _, isStop := r.(stopSignal); !isStop {
-							rec.record(i, r)
-						}
-					}
-					// Terminating counts as this node's arrival for the slot
-					// in progress; the done flag is set first so the engine
-					// retires the node before resolving.
-					rs.done[i].Store(true)
-					rs.arrive()
-				}()
-				if prog != nil {
-					prog(nctx)
-				}
-			}(i, nctx, prog)
-		}
-	}
-
-	abort := func() {
-		rs.aborted.Store(true)
-		close(rs.stop)
-		// Free every parked node: steps sample the abort flag before
-		// blocking, so anything released here unwinds at its next step.
-		// Stepped nodes need no unwinding — the engine simply stops driving
-		// them.
-		close(*rs.release.Load())
-		wg.Wait()
-	}
-
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	// nActive counts all live nodes and decides termination; progActive and
-	// progIdling track the goroutine subset (live, and parked mid-IdleFor)
-	// that the barrier bookkeeping is about. The wheel holds every sleeping
-	// node — both forms — keyed by the slot it acts again in.
-	nActive := n
-	progActive := nProgs
-	progIdling := 0
-	expectCount := nProgs
+	// nActive counts live nodes and decides termination. The wheel holds
+	// every sleeping node keyed by the slot it acts again in.
+	nActive := len(sr.awake)
 	wheel := newWakeWheel()
 	due := make([]int32, 0, 64)
 
 	// The run's slot arena: action and reception buffers sized for every
 	// node once up front, and the field's struct-of-arrays / grid-bin
 	// scratch presized to match, so the steady-state slot pipeline —
-	// collect, resolve, deliver — allocates nothing.
+	// step, collect, resolve, deliver — allocates nothing.
 	txs := make([]phy.Tx, 0, n)
 	rxs := make([]phy.Rx, 0, n)
 	e.field.Reserve(n, n)
 
 	slot := 0
 	for {
+		if nActive == 0 {
+			return slot, nil
+		}
 		txs, rxs = txs[:0], rxs[:0]
-		if expectCount > 0 {
-			// One wake token per slot: the last arrival of the barrier.
-			// From here until the release at the bottom of the loop every
-			// live program node is parked, so the engine owns all shared
-			// state.
-			select {
-			case <-rs.wake:
-			case <-ctx.Done():
-				abort()
-				return slot, ctx.Err()
-			}
-		}
-		// Drive the awake stepped nodes inline: each deposits its action for
-		// this slot into pending, exactly where a goroutine node's primitive
-		// would have put it. This runs inside the quiescent window, after
-		// the barrier wake above (trivially so when no program arrivals are
-		// expected).
-		if sr != nil && len(sr.awake) > 0 {
+		if len(sr.awake) > 0 {
+			// Each awake node deposits its action for this slot into
+			// pending.
 			sr.stepAll(slot, rec)
-		}
-		if pErr := rec.get(); pErr != nil {
-			abort()
-			return slot, pErr
-		}
-		if expectCount > 0 || (sr != nil && len(sr.awake) > 0) {
-			// Collect the slot while retiring terminated nodes and
-			// registering fresh IdleFor batches — one fused pass over the
-			// node set.
+			if pErr := rec.get(); pErr != nil {
+				sr.abort()
+				return slot, pErr
+			}
+			// Collect the slot while retiring finished nodes and
+			// registering fresh IdleFor batches — one pass in node order.
 			for i := 0; i < n; i++ {
-				if !active[i] {
+				if sr.state[i] != stepAwake {
 					continue
 				}
-				if rs.done[i].Load() {
-					active[i] = false
+				if sr.ctxs[i].ended {
+					sr.state[i] = stepDead
 					nActive--
-					if isStepped(i) {
-						sr.state[i] = stepDead
-					} else {
-						progActive--
-					}
 					continue
 				}
-				switch rs.pending[i].kind {
+				switch sr.pending[i].kind {
 				case actTransmit:
-					txs = append(txs, phy.Tx{Node: i, Channel: rs.pending[i].ch, Msg: rs.pending[i].msg})
+					txs = append(txs, phy.Tx{Node: i, Channel: sr.pending[i].ch, Msg: sr.pending[i].msg})
 				case actListen:
-					rxs = append(rxs, phy.Rx{Node: i, Channel: rs.pending[i].ch})
+					rxs = append(rxs, phy.Rx{Node: i, Channel: sr.pending[i].ch})
 				case actIdleLong:
 					// A fresh IdleFor batch: the node idles from this slot
 					// through slot+count-1 and sleeps through those slots.
-					end := slot + rs.pending[i].count - 1
-					wheel.add(i, end+1)
-					rs.pending[i].kind = actIdleHold
-					if isStepped(i) {
-						sr.state[i] = stepSleeping
-					} else {
-						progIdling++
-					}
+					wheel.add(i, slot+sr.pending[i].count)
+					sr.pending[i].kind = actIdleHold
+					sr.state[i] = stepSleeping
 				}
 			}
-			if sr != nil {
-				sr.compact()
-			}
+			sr.compact()
 			if nActive == 0 {
 				return slot, nil
 			}
 		}
-		// else: every live node sleeps mid-IdleFor — nothing can arrive,
-		// terminate, or panic, so the engine advances the (empty) slot
-		// directly.
+		// else: every live node sleeps mid-IdleFor, so the engine advances
+		// the (empty) slot directly.
 		if err := ctx.Err(); err != nil {
-			abort()
+			sr.abort()
 			return slot, err
 		}
 		if slot >= maxSlots {
-			abort()
+			sr.abort()
 			return slot, fmt.Errorf("sim: exceeded MaxSlots = %d with %d nodes still live", maxSlots, nActive)
 		}
 
@@ -531,7 +325,7 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 			// Byzantine corruption point: each transmission may be rewritten
 			// or removed before the SINR layer sees it. txs is in node order
 			// (the collect pass scans nodes ascending), so the injector's
-			// call sequence is identical across exec modes and worker counts.
+			// call sequence is identical across worker counts.
 			kept := txs[:0]
 			for _, tx := range txs {
 				if ftx, ok := e.Faults.FilterTransmission(slot, tx); ok {
@@ -553,166 +347,20 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 			e.Trace(slot, txs, rxs, recs)
 		}
 
-		// Deliver outcomes. Only listeners observe their result slot —
-		// Transmit and Idle discard it — so non-listen entries keep their
-		// stale contents untouched.
-		ri := 0
-		for i := 0; i < n && ri < len(rxs); i++ {
-			if active[i] && rs.pending[i].kind == actListen {
-				rs.results[i] = recs[ri]
-				ri++
-			}
+		// Deliver outcomes: rxs is in node order, so listener k of the
+		// slot gets recs[k]. Transmit and Idle discard their result slot,
+		// so non-listen entries keep their stale contents untouched.
+		for k, rx := range rxs {
+			sr.results[rx.Node] = recs[k]
 		}
 		slot++
 
-		// Open the next slot and release everyone at once. Order matters:
-		// expect and arrived must be current and the new release channel
-		// installed before the old one closes, because released nodes
-		// re-enter the barrier immediately. Sleepers due now pop off the
-		// wheel: program nodes rejoin the barrier before the release and
-		// are woken through their private channels after it; stepped nodes
-		// rejoin the awake list and get stepped at the top of the loop.
+		// Sleepers due now rejoin the awake list and are stepped at the top
+		// of the loop.
 		due = wheel.pop(slot, due[:0])
-		endingProgs := 0
 		for _, id := range due {
-			i := int(id)
-			if isStepped(i) {
-				sr.state[i] = stepAwake
-				sr.awake = append(sr.awake, id)
-			} else {
-				endingProgs++
-				progIdling--
-			}
-		}
-		expectCount = progActive - progIdling
-		rs.openGate(expectCount)
-		next := make(chan struct{})
-		old := rs.release.Load()
-		rs.release.Store(&next)
-		close(*old)
-		if endingProgs > 0 {
-			for _, id := range due {
-				if !isStepped(int(id)) {
-					rs.idleWake[id] <- struct{}{}
-				}
-			}
+			sr.state[id] = stepAwake
+			sr.awake = append(sr.awake, id)
 		}
 	}
-}
-
-// Ctx is a node's handle to the simulator, passed to its Program.
-type Ctx struct {
-	// Rand is this node's private random stream.
-	Rand *rand.Rand
-
-	id     int
-	engine *Engine
-	params model.Params
-	rs     *roundState
-	slot   int
-	// crashAt is the first slot at which this node is dead (fault
-	// injection); math.MaxInt for immortal nodes. A node at or past its
-	// crash slot unwinds at its next primitive instead of acting — an
-	// idling node is externally indistinguishable from a dead one, so the
-	// boundary of an IdleFor batch is a faithful crash point.
-	crashAt int
-}
-
-// ID returns this node's index (the model's unique node ID).
-func (c *Ctx) ID() int { return c.id }
-
-// Params returns the model parameters known to the node (SINR ranges,
-// channel count, and the polynomial estimate of n).
-func (c *Ctx) Params() model.Params { return c.params }
-
-// Slot returns the number of completed slots from this node's perspective.
-func (c *Ctx) Slot() int { return c.slot }
-
-// Transmit sends msg on the given channel for one slot. A transmitting node
-// learns nothing about concurrent events (no transmitter-side detection).
-func (c *Ctx) Transmit(channel int, msg any) {
-	c.step(action{kind: actTransmit, ch: channel, msg: msg})
-}
-
-// Listen receives on the given channel for one slot and returns what was
-// observed.
-func (c *Ctx) Listen(channel int) phy.Reception {
-	return c.step(action{kind: actListen, ch: channel, msg: nil})
-}
-
-// Idle does nothing for one slot (radio off).
-func (c *Ctx) Idle() {
-	c.step(action{kind: actIdle})
-}
-
-// IdleFor idles for k consecutive slots. Long batches cost one
-// synchronization instead of one per slot: the node leaves the barrier for
-// the batch's span and is woken when it ends, which is what makes the
-// TDMA-stride and stage-skipping idles of the pipeline cheap.
-func (c *Ctx) IdleFor(k int) {
-	if k == 1 {
-		c.Idle()
-		return
-	}
-	if k <= 0 {
-		return
-	}
-	rs := c.rs
-	if rs.aborted.Load() {
-		panic(stopSignal{})
-	}
-	if c.slot >= c.crashAt {
-		panic(stopSignal{})
-	}
-	rs.pending[c.id] = action{kind: actIdleLong, count: k}
-	rs.arrive()
-	select {
-	case <-rs.idleWake[c.id]:
-		// The select can win this race against a concurrent abort; don't
-		// resume a run the engine already gave up on.
-		if rs.aborted.Load() {
-			panic(stopSignal{})
-		}
-	case <-rs.stop:
-		panic(stopSignal{})
-	}
-	c.slot += k
-}
-
-// Emit records an instrumentation event tagged with the current slot.
-func (c *Ctx) Emit(name string, value int) {
-	c.engine.emit(Event{Slot: c.slot, Node: c.id, Name: name, Value: value})
-}
-
-func (c *Ctx) step(a action) phy.Reception {
-	rs := c.rs
-	// An abort unwinds here, without arriving, so a stale action never
-	// lands in a live barrier. Checking a flag (instead of selecting on
-	// stop below) keeps the hot path on a plain channel receive; abort
-	// closes the current release channel, so a node parked below still
-	// wakes and unwinds on its next step.
-	if rs.aborted.Load() {
-		panic(stopSignal{})
-	}
-	// A crashed node powers down instead of acting: the stop-signal unwind
-	// runs the goroutine's termination path, so the engine retires it like
-	// a program that returned.
-	if c.slot >= c.crashAt {
-		panic(stopSignal{})
-	}
-	// The release channel must be sampled before arriving: after the
-	// arrival that completes the barrier, the engine may swap in the next
-	// slot's channel at any moment.
-	rel := rs.release.Load()
-	rs.pending[c.id] = a
-	rs.arrive()
-	<-*rel
-	// An abort also closes the release channel to free parked nodes; their
-	// slot was never resolved, so unwind instead of handing the program a
-	// stale reception from an earlier slot.
-	if rs.aborted.Load() {
-		panic(stopSignal{})
-	}
-	c.slot++
-	return rs.results[c.id]
 }

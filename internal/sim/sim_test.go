@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -167,12 +168,17 @@ func TestSeedChangesOutcome(t *testing.T) {
 	}
 }
 
+// TestMaxSlotsAborts: a run past MaxSlots fails, unwinds the runaway
+// Program through its defers, and leaves no coroutine behind.
 func TestMaxSlotsAborts(t *testing.T) {
+	before := runtime.NumGoroutine()
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)
 	e.MaxSlots = 10
+	unwound := false
 	progs := []Program{
 		func(ctx *Ctx) {
+			defer func() { unwound = true }()
 			for {
 				ctx.Idle()
 			}
@@ -183,17 +189,27 @@ func TestMaxSlotsAborts(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "MaxSlots") {
 		t.Fatalf("expected MaxSlots error, got %v", err)
 	}
+	if !unwound {
+		t.Error("aborted Program's defer did not run")
+	}
+	checkGoroutines(t, before)
 }
 
+// TestProgramPanicPropagates: a panicking Program fails the run with its
+// panic value; the other Program is unwound through its defers and no
+// coroutine outlives the run.
 func TestProgramPanicPropagates(t *testing.T) {
+	before := runtime.NumGoroutine()
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)
+	unwound := false
 	progs := []Program{
 		func(ctx *Ctx) {
 			ctx.Idle()
 			panic("protocol bug")
 		},
 		func(ctx *Ctx) {
+			defer func() { unwound = true }()
 			for i := 0; i < 100; i++ {
 				ctx.Idle()
 			}
@@ -203,6 +219,10 @@ func TestProgramPanicPropagates(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "protocol bug") {
 		t.Fatalf("expected panic to surface, got %v", err)
 	}
+	if !unwound {
+		t.Error("surviving Program's defer did not run on abort")
+	}
+	checkGoroutines(t, before)
 }
 
 func TestProgramCountMismatch(t *testing.T) {

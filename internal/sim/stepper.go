@@ -1,19 +1,15 @@
 package sim
 
-// This file implements the goroutine-free execution mode: Stepper nodes
-// hold their protocol state in explicit structs and are driven inline by
-// the engine, one Step call per slot, instead of running as parked
-// goroutines. At crowd scale this removes the per-node stack (kilobytes per
-// node) and the park/unpark pair per node per slot that dominate the
-// goroutine mode's slot cost.
+// This file implements the engine's node driver: every node is a Stepper,
+// driven inline by the engine with one Step call per slot in which it is
+// awake (a Program through its Coroutine adapter). At crowd scale the awake
+// set fans out across step workers.
 //
-// Equivalence by construction: a Step call deposits its action into the
-// same per-node pending slot a goroutine's primitive would have, the engine
-// scans pending in node order either way, and all randomness comes from the
-// same per-node stream — so for a correctly ported protocol the resolved
-// transcript is bit-identical to the goroutine form, regardless of how many
-// workers drive the Step calls. TestSteppedEngineEquivalence and the
-// facade's TestAggregateSteppedIdentity pin this.
+// Frag pieces compose Steppers stage by stage, and a Program runs them
+// through Ctx.Run, so one fragment serves both forms. Recorded transcript
+// digests (testdata/golden_aggregate.json, pinned by the facade's
+// TestAggregateExecIdentity and internal/core's TestRunIdentity) keep the
+// stepped pipeline bit-identical to the goroutine programs it replaced.
 
 import (
 	"fmt"
@@ -28,7 +24,7 @@ import (
 	"mcnet/internal/rng"
 )
 
-// Stepper is the goroutine-free form of a node protocol. The engine calls
+// Stepper is a node protocol as the engine drives it. The engine calls
 // Step once per slot in which the node is awake; each call must perform
 // exactly one primitive on sc — Transmit, Listen, Idle, or IdleFor — or
 // call Done to power the node down for the rest of the run. After an
@@ -37,8 +33,8 @@ import (
 // A Stepper must draw randomness only from sc.Rand and must not retain sc
 // across calls. If it listened in the previous acting slot, sc.Prev holds
 // that slot's reception; consume it before doing anything else (including
-// drawing randomness) to stay bit-identical with the equivalent goroutine
-// Program, whose post-Listen code runs before its next primitive.
+// drawing randomness), which is where straight-line code handles a
+// Listen's result: before its next primitive.
 type Stepper interface {
 	Step(sc *StepCtx)
 }
@@ -48,14 +44,15 @@ type Stepper interface {
 // returns false (the fragment still owns the node's slots), or finalizes
 // without acting and returns true — the caller then advances to the next
 // fragment within the same Step call, so stage boundaries consume no extra
-// slots, exactly like consecutive calls in a goroutine Program.
+// slots, exactly like consecutive calls in straight-line code. A Program
+// runs a fragment with Ctx.Run.
 type Frag interface {
 	Feed(sc *StepCtx) bool
 }
 
 // IdleFrag is the Frag form of "idle through a stage budget": one
 // IdleFor(K) batch, then done. A K ≤ 0 finalizes immediately without
-// consuming a slot, mirroring goroutine IdleFor's no-op on k ≤ 0.
+// consuming a slot, mirroring IdleFor's no-op on k ≤ 0.
 type IdleFrag struct {
 	K    int
 	done bool
@@ -71,22 +68,25 @@ func (f *IdleFrag) Feed(sc *StepCtx) bool {
 	return false
 }
 
-// StepCtx is a stepped node's handle to the simulator — the Stepper-mode
-// counterpart of Ctx. The engine owns it; Steppers use it only inside Step.
+// StepCtx is a node's handle to the simulator inside Step. The engine owns
+// it; Steppers use it only inside Step.
 type StepCtx struct {
-	// Rand is this node's private random stream — the same stream the
-	// equivalent goroutine Program would draw from.
+	// Rand is this node's private random stream.
 	Rand *rand.Rand
 
 	id      int
 	engine  *Engine
 	params  model.Params
-	rs      *roundState
+	sr      *steppedRun
 	stepper Stepper
 	slot    int
 	crashAt int
-	acted   bool
-	ended   bool
+	// coroutine marks a Program node: it is stepped once more at its crash
+	// slot so the Program runs up to its next primitive, which unwinds it
+	// (see put and the package doc's crash boundary).
+	coroutine bool
+	acted     bool
+	ended     bool
 }
 
 // ID returns this node's index (the model's unique node ID).
@@ -95,16 +95,15 @@ func (c *StepCtx) ID() int { return c.id }
 // Params returns the model parameters known to the node.
 func (c *StepCtx) Params() model.Params { return c.params }
 
-// Slot returns the slot the current Step call is acting in. It matches
-// Ctx.Slot at the same point of the equivalent goroutine Program: the code
-// that runs after a Listen returns (and before the next primitive) sees the
-// slot after the listen.
+// Slot returns the slot the current Step call is acting in: the code that
+// consumes a Listen's result (and runs before the next primitive) sees the
+// slot after the listen, as Ctx.Slot does after a Listen returns.
 func (c *StepCtx) Slot() int { return c.slot }
 
 // Prev returns the reception delivered to this node's most recent Listen.
 // It is only meaningful at the start of the Step call that follows a Listen;
 // after a Transmit or Idle the contents are stale.
-func (c *StepCtx) Prev() phy.Reception { return c.rs.results[c.id] }
+func (c *StepCtx) Prev() phy.Reception { return c.sr.results[c.id] }
 
 // Transmit sends msg on the given channel for this slot.
 func (c *StepCtx) Transmit(channel int, msg any) {
@@ -123,8 +122,7 @@ func (c *StepCtx) Idle() {
 }
 
 // IdleFor idles for k consecutive slots; the next Step call comes k slots
-// later. k ≤ 0 is a no-op (the Step call must still act), matching the
-// goroutine primitive.
+// later. k ≤ 0 is a no-op (the Step call must still act).
 func (c *StepCtx) IdleFor(k int) {
 	if k == 1 {
 		c.Idle()
@@ -136,9 +134,9 @@ func (c *StepCtx) IdleFor(k int) {
 	c.put(action{kind: actIdleLong, count: k})
 }
 
-// Done powers the node down for the remainder of the run, like a goroutine
-// Program returning. It is final and performs no primitive: a Step call
-// must either act or call Done, never both.
+// Done powers the node down for the remainder of the run, like a Program
+// returning. It is final and performs no primitive: a Step call must
+// either act or call Done, never both.
 func (c *StepCtx) Done() {
 	if c.acted {
 		panic(fmt.Sprintf("sim: node %d Stepper called Done after acting in the same Step", c.id))
@@ -151,31 +149,37 @@ func (c *StepCtx) Emit(name string, value int) {
 	c.engine.emit(Event{Slot: c.slot, Node: c.id, Name: name, Value: value})
 }
 
+// stopSignal is the sentinel panic that unwinds a Program at its crash
+// slot or when its run aborts.
+type stopSignal struct{}
+
 func (c *StepCtx) put(a action) {
+	if c.slot >= c.crashAt {
+		// Only a coroutine node is stepped at or past its crash slot (see
+		// stepNode): its Program unwinds here instead of acting.
+		panic(stopSignal{})
+	}
 	if c.acted || c.ended {
 		panic(fmt.Sprintf("sim: node %d Stepper performed a second primitive in one Step", c.id))
 	}
 	c.acted = true
-	c.rs.pending[c.id] = a
+	c.sr.pending[c.id] = a
 }
 
-// stepNode drives one awake stepped node through one slot: crash check,
-// then Step, then the act-or-done contract check. It writes only node-local
-// state (sc, pending[id], done[id]), so distinct nodes may be stepped from
-// distinct workers.
+// stepNode drives one awake node through one slot: crash check, then Step,
+// then the act-or-done contract check. It writes only node-local state (sc
+// and pending[id]), so distinct nodes may be stepped from distinct workers.
 func (c *StepCtx) stepNode(slot int) {
 	c.slot = slot
-	if slot >= c.crashAt {
-		// A crashed node powers down instead of acting — the same boundary
-		// a goroutine node observes at its next primitive (or at the end of
-		// the IdleFor batch it slept through).
-		c.rs.done[c.id].Store(true)
+	if slot >= c.crashAt && !c.coroutine {
+		// A crashed node powers down instead of acting, also when its
+		// crash slot fell inside the IdleFor batch it slept through.
+		c.ended = true
 		return
 	}
 	c.acted = false
 	c.stepper.Step(c)
 	if c.ended {
-		c.rs.done[c.id].Store(true)
 		return
 	}
 	if !c.acted {
@@ -183,18 +187,15 @@ func (c *StepCtx) stepNode(slot int) {
 	}
 }
 
-// Stepped-node scheduling states, tracked per node in steppedRun.state.
-// stepNone marks nodes that are not stepped at all (goroutine or absent),
-// so state doubles as the "is this node stepped" map.
+// Node scheduling states, tracked per node in steppedRun.state.
 const (
-	stepNone uint8 = iota
-	stepAwake
+	stepAwake uint8 = iota
 	stepSleeping
 	stepDead
 )
 
-// panicRecorder captures the first panic out of any node — goroutine or
-// step worker — for the engine to surface as the run error.
+// panicRecorder captures the first panic out of any node, on the engine
+// goroutine or a step worker, for the engine to surface as the run error.
 type panicRecorder struct {
 	mu    sync.Mutex
 	first error
@@ -221,27 +222,31 @@ const parallelStepMin = 4096
 // stepChunk is the work-stealing granule of the parallel step phase.
 const stepChunk = 512
 
-// steppedRun is the engine-private state of one run's stepped population.
+// steppedRun is the engine-private state of one run's nodes.
 type steppedRun struct {
-	ctxs    []StepCtx // indexed by node; only stepped nodes are initialized
-	state   []uint8   // node → stepNone/stepAwake/stepSleeping/stepDead
-	awake   []int32   // nodes to drive this slot, compacted after each scan
+	ctxs    []StepCtx       // indexed by node
+	state   []uint8         // node → stepAwake/stepSleeping/stepDead
+	awake   []int32         // nodes to drive this slot, compacted after each scan
+	pending []action        // node i's Step writes pending[i]
+	results []phy.Reception // the engine writes node i's reception; Prev reads it
 	workers int
 }
 
-func newSteppedRun(e *Engine, rs *roundState, steppers []Stepper, nodeParams model.Params) *steppedRun {
+func newSteppedRun(e *Engine, steppers []Stepper, nodeParams model.Params) *steppedRun {
 	n := len(steppers)
 	sr := &steppedRun{
 		ctxs:    make([]StepCtx, n),
 		state:   make([]uint8, n),
+		pending: make([]action, n),
+		results: make([]phy.Reception, n),
 		workers: runtime.GOMAXPROCS(0),
 	}
 	rands := rng.Streams(e.seed, n)
 	for i, st := range steppers {
 		if st == nil {
+			sr.state[i] = stepDead
 			continue
 		}
-		sr.state[i] = stepAwake
 		sr.awake = append(sr.awake, int32(i))
 		sc := &sr.ctxs[i]
 		*sc = StepCtx{
@@ -249,10 +254,11 @@ func newSteppedRun(e *Engine, rs *roundState, steppers []Stepper, nodeParams mod
 			id:      i,
 			engine:  e,
 			params:  nodeParams,
-			rs:      rs,
+			sr:      sr,
 			stepper: st,
 			crashAt: math.MaxInt,
 		}
+		_, sc.coroutine = st.(*coroutine)
 		if e.Faults != nil {
 			sc.crashAt = e.Faults.CrashSlot(i)
 		}
@@ -260,11 +266,21 @@ func newSteppedRun(e *Engine, rs *roundState, steppers []Stepper, nodeParams mod
 	return sr
 }
 
-// stepAll drives every awake stepped node through the given slot. It runs
-// in the engine's quiescent window; with enough awake nodes and spare
-// procs, the calls fan out across workers in chunks (safe because each call
-// touches only node-local state, and transcript-neutral because actions
-// land in per-node slots that the engine scans in node order regardless).
+// abort unwinds every Program still suspended in the run — running its
+// defers — so no coroutine goroutine outlives an aborted run.
+func (sr *steppedRun) abort() {
+	for i := range sr.ctxs {
+		if co, ok := sr.ctxs[i].stepper.(*coroutine); ok {
+			co.unwind()
+		}
+	}
+}
+
+// stepAll drives every awake node through the given slot. With enough
+// awake nodes and spare procs, the calls fan out across workers in chunks
+// (safe because each call touches only node-local state, and
+// transcript-neutral because actions land in per-node slots that the
+// engine scans in node order regardless).
 // A panicking Step abandons the rest of its worker's share; the engine
 // aborts the run right after, so the unstepped remainder never resolves.
 func (sr *steppedRun) stepAll(slot int, rec *panicRecorder) {

@@ -39,7 +39,7 @@ func chatterField(n int) *phy.Field {
 	return phy.NewField(model.Default(4, n), pos)
 }
 
-// chatterProgram is the goroutine form of the reference workload: random
+// chatterProgram is the Program form of the reference workload: random
 // chatter with interleaved IdleFor batches whose spans depend on the node's
 // private stream, plus value echoes so receptions feed back into behavior.
 func chatterProgram(rounds int) Program {
@@ -118,7 +118,7 @@ func sortedEvents(evs []Event) []Event {
 }
 
 // runChatter runs the reference workload in the requested mode
-// ("goroutine" or "stepped") and returns its transcript, events, and slot
+// ("program" or "stepped") and returns its transcript, events, and slot
 // count.
 func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults FaultInjector) ([]slotRecord, []Event, int) {
 	t.Helper()
@@ -131,7 +131,7 @@ func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults Fa
 		err   error
 	)
 	switch mode {
-	case "goroutine":
+	case "program":
 		progs := make([]Program, n)
 		for i := range progs {
 			progs[i] = chatterProgram(rounds)
@@ -152,26 +152,26 @@ func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults Fa
 	return trace, sortedEvents(e.Events()), slots
 }
 
-// TestSteppedEngineEquivalence pins the tentpole invariant at the engine
-// level: the same workload run as goroutine Programs and as Steppers
-// produces bit-identical transcripts, events, and slot counts at several
-// sizes.
+// TestSteppedEngineEquivalence pins the two node forms against each other:
+// the same workload run as Programs (through the coroutine adapter) and as
+// hand-ported Steppers produces bit-identical transcripts, events, and slot
+// counts at several sizes.
 func TestSteppedEngineEquivalence(t *testing.T) {
 	for _, n := range []int{1, 7, 64, 1500} {
 		for _, seed := range []uint64{1, 42} {
 			n, seed := n, seed
 			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
 				t.Parallel()
-				gTrace, gEvents, gSlots := runChatter(t, n, 40, seed, "goroutine", nil)
+				gTrace, gEvents, gSlots := runChatter(t, n, 40, seed, "program", nil)
 				trace, events, slots := runChatter(t, n, 40, seed, "stepped", nil)
 				if slots != gSlots {
-					t.Fatalf("slots = %d, goroutine = %d", slots, gSlots)
+					t.Fatalf("slots = %d, program = %d", slots, gSlots)
 				}
 				if !reflect.DeepEqual(trace, gTrace) {
-					t.Fatal("transcript differs from goroutine mode")
+					t.Fatal("transcript differs from the Program form")
 				}
 				if !reflect.DeepEqual(events, gEvents) {
-					t.Fatal("events differ from goroutine mode")
+					t.Fatal("events differ from the Program form")
 				}
 			})
 		}
@@ -203,16 +203,16 @@ func TestSteppedEquivalenceUnderCrashes(t *testing.T) {
 	faults := func() FaultInjector {
 		return crashFaults{at: map[int]int{0: 0, 3: 7, 11: 13, 17: 2, 40: 25}}
 	}
-	gTrace, gEvents, gSlots := runChatter(t, 64, 40, 9, "goroutine", faults())
+	gTrace, gEvents, gSlots := runChatter(t, 64, 40, 9, "program", faults())
 	trace, events, slots := runChatter(t, 64, 40, 9, "stepped", faults())
 	if slots != gSlots {
-		t.Fatalf("slots = %d, goroutine = %d", slots, gSlots)
+		t.Fatalf("slots = %d, program = %d", slots, gSlots)
 	}
 	if !reflect.DeepEqual(trace, gTrace) {
-		t.Fatal("transcript differs from goroutine mode under crashes")
+		t.Fatal("transcript differs from the Program form under crashes")
 	}
 	if !reflect.DeepEqual(events, gEvents) {
-		t.Fatal("events differ from goroutine mode under crashes")
+		t.Fatal("events differ from the Program form under crashes")
 	}
 }
 
@@ -281,7 +281,7 @@ func TestWakeWheelSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gSlots != sSlots {
-		t.Fatalf("slots: goroutine %d, stepped %d", gSlots, sSlots)
+		t.Fatalf("slots: program %d, stepped %d", gSlots, sSlots)
 	}
 	if !reflect.DeepEqual(gTrace, sTrace) {
 		t.Fatal("wheel transcript differs between forms")
@@ -337,7 +337,7 @@ func (p *panicStepper) Step(sc *StepCtx) {
 }
 
 // TestSteppedPanicPropagates turns a panicking Stepper into a run error
-// naming the node, like a panicking goroutine Program.
+// naming the node, like a panicking Program.
 func TestSteppedPanicPropagates(t *testing.T) {
 	n := 4
 	e := NewEngine(chatterField(n), 1)
@@ -368,22 +368,22 @@ func TestSteppedContractViolation(t *testing.T) {
 
 // TestSteppedParallelDrive forces the parallel step fan-out (population
 // above parallelStepMin) and checks the transcript still matches the
-// goroutine form. Run under -race in CI at -cpu 1,2,8.
+// Program form. Run under -race in CI at -cpu 1,2,8.
 func TestSteppedParallelDrive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crowd-sized equivalence run")
 	}
 	n := parallelStepMin + 512
-	gTrace, gEvents, gSlots := runChatter(t, n, 12, 3, "goroutine", nil)
+	gTrace, gEvents, gSlots := runChatter(t, n, 12, 3, "program", nil)
 	sTrace, sEvents, sSlots := runChatter(t, n, 12, 3, "stepped", nil)
 	if gSlots != sSlots {
-		t.Fatalf("slots: goroutine %d, stepped %d", gSlots, sSlots)
+		t.Fatalf("slots: program %d, stepped %d", gSlots, sSlots)
 	}
 	if !reflect.DeepEqual(gTrace, sTrace) {
-		t.Fatal("parallel stepped transcript differs from goroutine mode")
+		t.Fatal("parallel stepped transcript differs from the Program form")
 	}
 	if !reflect.DeepEqual(gEvents, sEvents) {
-		t.Fatal("parallel stepped events differ from goroutine mode")
+		t.Fatal("parallel stepped events differ from the Program form")
 	}
 }
 

@@ -4,12 +4,12 @@ package sim
 // wake slots that generalizes the all-idle fast-forward to mixed
 // active/idle populations.
 //
-// Every IdleFor batch — goroutine or stepped — registers its node here
-// under the first slot at which the node acts again. Per slot the engine
-// pops exactly one bucket instead of probing a map, and sleeping nodes are
-// never touched in between: a goroutine node stays parked off the barrier,
-// a stepped node stays off the awake list, so a slot's cost scales with the
-// nodes that actually act in it.
+// Every IdleFor batch registers its node here under the first slot at
+// which the node acts again. Per slot the engine pops exactly one bucket
+// instead of probing a map, and sleeping nodes are never touched in
+// between — a sleeping node stays off the awake list (a Program's
+// coroutine stays suspended) — so a slot's cost scales with the nodes that
+// actually act in it.
 //
 // The wheel is sized so that protocol idles (TDMA strides, stage skips —
 // tens to a few thousand slots) land in their bucket's first revolution;
@@ -26,8 +26,9 @@ type wheelEntry struct {
 	wakeSlot int
 }
 
-// wakeWheel is the engine's calendar queue of sleeping nodes. All access is
-// from the engine's quiescent window, so there is no locking.
+// wakeWheel is the engine's calendar queue of sleeping nodes. Only the
+// engine goroutine touches it, between step phases, so there is no
+// locking.
 type wakeWheel struct {
 	buckets [wheelBuckets][]wheelEntry
 	count   int
